@@ -1,9 +1,9 @@
 """The HTTP gateway: durable, multi-tenant front end over the core.
 
-``esp-nuca gateway serve`` runs one :class:`Gateway`: the shared
-:class:`~repro.service.core.ServiceCore` (same scheduler, coalescing,
-cache fast path and worker fabric as the JSON-lines daemon) plus three
-things the daemon does not have —
+``esp-nuca gateway serve`` runs one :class:`Gateway`: the
+:class:`~repro.service.core.ServiceCore` (scheduler, coalescing, cache
+fast path, traced jobs and worker fabric) plus three things of its
+own —
 
 * **durability**: every admitted job is written to the
   :class:`~repro.gateway.store.JobStore` before the client hears
@@ -32,6 +32,7 @@ version.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import math
 import threading
@@ -59,17 +60,17 @@ REQUEST_FIELDS = ("architectures", "workloads", "seeds", "settings",
                   "priority", "check")
 
 #: Reject-reason counter names under ``gateway.rejects`` — one per typed
-#: failure class, mirroring the daemon's protocol error codes.
+#: failure class.
 REJECT_REASONS = ("auth", "bad-request", "quota-jobs", "quota-points",
                   "rate-limited", "queue-full", "draining", "not-found")
 
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway knobs. Service-core knobs mirror ``ServiceConfig``; the
-    ``anon_*`` fields are the pseudo-tenant quota applied when
-    ``allow_anonymous`` is set (dev/test mode — production gateways
-    should require keys)."""
+    """Gateway knobs. ``queue_limit``, ``workers`` (asyncio dispatcher
+    tasks) and ``batch`` size the service core; the ``anon_*`` fields
+    are the pseudo-tenant quota applied when ``allow_anonymous`` is set
+    (local and test use — shared gateways should require keys)."""
 
     bind: Tuple = ("tcp", "127.0.0.1", 8643)
     db_path: str = "gateway.sqlite"
@@ -265,11 +266,12 @@ class Gateway:
         bind = self.config.bind
         if bind[0] == "unix":
             self._server = await asyncio.start_unix_server(
-                self._serve_conn, path=bind[1])
+                self._serve_conn, path=bind[1], limit=http.STREAM_LIMIT)
             self.address = bind
         else:
             self._server = await asyncio.start_server(
-                self._serve_conn, host=bind[1], port=bind[2])
+                self._serve_conn, host=bind[1], port=bind[2],
+                limit=http.STREAM_LIMIT)
             port = self._server.sockets[0].getsockname()[1]
             self.address = ("tcp", bind[1], port)
         self._recover_task = asyncio.ensure_future(self._recover())
@@ -747,6 +749,7 @@ class Gateway:
         body = request.json()
         try:
             points, priority, _check = self.core.request_points(body)
+            trace = self.core.request_trace(body)
         except proto.ProtocolError as exc:
             raise self._reject(tenant, "bad-request", 400, "bad-request",
                                str(exc))
@@ -775,7 +778,7 @@ class Gateway:
                                                tenant.owner,
                                                job_id=f"g{pk}")
             try:
-                self.core.admit(job, unique)
+                self.core.admit(job, unique, trace=trace)
             except q.QueueFullError as exc:
                 # Never admitted ⇒ must not be "recovered" after restart.
                 self.store.delete_job(pk)
@@ -911,7 +914,7 @@ class Gateway:
                       job: Optional[Job], row: Dict[str, Any]) -> None:
         """SSE progress stream; ends with an ``event=end`` frame. A
         client disconnect mid-stream just unsubscribes — the job (and
-        the daemon) are unaffected. The read side is watched while we
+        the gateway) are unaffected. The read side is watched while we
         wait for snapshots: an SSE client never sends again, so EOF (or
         stray bytes) means the watcher went away — detected *promptly*
         instead of on some later write into a dead socket, so the
@@ -948,6 +951,8 @@ class Gateway:
                     results = job.results()
                     if results is not None:
                         end["results"] = results
+                    if job.trace_path is not None:
+                        end["trace_path"] = job.trace_path
                     if job.errors:
                         end["errors"] = dict(job.errors)
                     await sse.send(end)
@@ -1024,8 +1029,17 @@ async def _thread_main(gateway: Gateway, started: threading.Event,
 
 
 class GatewayThread:
-    """A gateway on a background event loop — tests and notebooks (the
-    HTTP sibling of :class:`~repro.service.server.ServiceThread`)."""
+    """A gateway on a background event loop — tests and notebooks.
+
+    ::
+
+        with GatewayThread(config) as handle:
+            client = GatewayClient(handle.base_url)
+            ...
+
+    Exiting the block drains the gateway (unless :meth:`drain` already
+    did) and joins the thread.
+    """
 
     def __init__(self, config: Optional[GatewayConfig] = None,
                  executor: Optional[Executor] = None,
@@ -1034,6 +1048,8 @@ class GatewayThread:
         self.gateway = Gateway(config, executor, settings, store)
         self._box: Dict[str, Any] = {}
         self._thread: Optional[threading.Thread] = None
+        self._drain_lock = threading.Lock()
+        self._drained: Optional[concurrent.futures.Future] = None
 
     @property
     def address(self) -> Tuple:
@@ -1052,25 +1068,26 @@ class GatewayThread:
                 _thread_main(self.gateway, started, self._box)),
             name="esp-nuca-gateway", daemon=True)
         self._thread.start()
-        started.wait(timeout=30)
+        started.wait()
         if "error" in self._box:
-            self._thread.join(timeout=5)
+            self._thread.join()
             raise self._box["error"]
-        if "address" not in self._box:
-            raise RuntimeError("gateway failed to start within 30s")
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        import concurrent.futures
+    def drain(self) -> Dict[str, Any]:
+        """Drain the gateway and return the drain summary (see
+        :meth:`Gateway.shutdown`). Thread-safe and idempotent: every
+        caller waits on the one shutdown, so a second caller never
+        schedules work on a loop that is already winding down."""
+        with self._drain_lock:
+            if self._drained is None:
+                self._drained = asyncio.run_coroutine_threadsafe(
+                    self.gateway.shutdown(), self._box["loop"])
+        return self._drained.result()
 
-        loop = self._box.get("loop")
-        if (self._thread is not None and self._thread.is_alive()
-                and loop is not None and not loop.is_closed()):
-            try:
-                future = asyncio.run_coroutine_threadsafe(
-                    self.gateway.shutdown(), loop)
-                future.result(timeout=120)
-            except (RuntimeError, concurrent.futures.TimeoutError):
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=120)
+    def __exit__(self, *exc_info) -> None:
+        if self._thread is None:
+            return
+        if self._thread.is_alive():
+            self.drain()
+        self._thread.join()

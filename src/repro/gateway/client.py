@@ -1,11 +1,11 @@
 """Synchronous HTTP client for the gateway — stdlib ``http.client``.
 
-The HTTP sibling of :class:`~repro.service.client.ServiceClient`: used
-by tests, ``tools/gateway_smoke.py`` and the benchmark, and small
-enough to read as API documentation. One client holds one keep-alive
-connection; typed error replies raise :class:`GatewayError` carrying
-the HTTP status and machine ``code`` so callers branch on
-``exc.code == "rate-limited"`` instead of string-matching messages.
+Used by ``esp-nuca submit``, the tests, ``tools/gateway_smoke.py`` and
+the benchmarks, and small enough to read as API documentation. One
+client holds one keep-alive connection; typed error replies raise
+:class:`GatewayError` carrying the HTTP status and machine ``code`` so
+callers branch on ``exc.code == "rate-limited"`` instead of
+string-matching messages.
 
 ::
 
@@ -13,7 +13,7 @@ the HTTP status and machine ``code`` so callers branch on
     job = client.submit(["esp-nuca"], ["apache"])["job"]
     for event in client.events(job):      # SSE stream
         ...
-    results = client.results(job)["results"]
+    results = payloads_to_results(client.results(job)["results"])
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional
 from urllib.parse import urlsplit
+
+from repro.sim.results import SimResult
 
 
 class GatewayError(Exception):
@@ -36,6 +38,19 @@ class GatewayError(Exception):
         self.code = code
         self.detail = message
         self.retry_after = retry_after
+
+
+def payloads_to_results(payloads: List[Dict[str, Any]]) -> List[SimResult]:
+    """Rebuild full :class:`SimResult` objects from result payloads (the
+    :meth:`SimResult.to_dict` serialization the run cache stores)."""
+    out = []
+    for payload in payloads:
+        result = SimResult.from_dict(payload)
+        if result is None:
+            raise ValueError("result payload does not match the current "
+                             "SimResult schema (server/client skew?)")
+        out.append(result)
+    return out
 
 
 class GatewayClient:
@@ -57,9 +72,13 @@ class GatewayClient:
     def wait_until_ready(cls, base_url: str, timeout: float = 60.0,
                          proc=None, api_key: Optional[str] = None
                          ) -> "GatewayClient":
-        """Bounded retry/backoff until ``GET /healthz`` answers (the
-        gateway's :meth:`ServiceClient.wait_until_ready` counterpart);
-        ``proc`` fails fast when the server process dies first."""
+        """Bounded retry/backoff until ``GET /healthz`` answers — the
+        supported way to wait for a freshly spawned gateway. Retries
+        with exponential backoff (50 ms doubling to 1 s) until
+        ``timeout`` seconds have passed, then raises
+        :class:`TimeoutError`; ``proc`` (the gateway's ``Popen``) fails
+        fast with :class:`ConnectionError` when the server process dies
+        first."""
         deadline = time.monotonic() + timeout
         delay = 0.05
         while True:
@@ -190,7 +209,16 @@ class GatewayClient:
     def submit(self, architectures: List[str], workloads: List[str],
                seeds: Optional[List[int]] = None,
                settings: Optional[Dict[str, Any]] = None,
-               priority: int = 0, check: int = 0) -> Dict[str, Any]:
+               priority: int = 0, check: int = 0,
+               trace: bool = False) -> Dict[str, Any]:
+        """Submit a grid; returns the admission snapshot (with
+        ``results`` when the grid was served entirely from the cache).
+
+        ``check=N`` runs the points with the invariant checker sweeping
+        every Nth access (docs/checking.md). ``trace=True`` captures an
+        event trace of the job (one traced job at a time); the terminal
+        snapshot and the ``end`` event carry ``trace_path``, a Chrome
+        trace on the *gateway's* filesystem (``REPRO_TRACE_DIR``)."""
         body: Dict[str, Any] = {"architectures": architectures,
                                 "workloads": workloads,
                                 "priority": priority}
@@ -200,6 +228,8 @@ class GatewayClient:
             body["settings"] = settings
         if check:
             body["check"] = check
+        if trace:
+            body["trace"] = True
         return self.request("POST", "/v1/jobs", body)
 
     def jobs(self, limit: int = 100) -> List[Dict[str, Any]]:

@@ -8,19 +8,21 @@ gateway parses HTTP itself. Deliberately small: request-line + headers
 transfer encoding for Server-Sent Events. No TLS (deploy behind a
 terminating proxy), no multipart, no compression.
 
-Hardening mirrors the JSON-lines protocol's: every limit is explicit
+Hardening: every limit is explicit
 and every violation is a *typed* error response, never a hung
 connection or an exception escaping to the accept loop —
 
-* request line longer than :data:`MAX_REQUEST_LINE` → ``431``;
+* request line longer than :data:`MAX_REQUEST_LINE` → ``431``, and
+  :data:`STREAM_LIMIT` bytes without a newline → ``431`` without
+  waiting for one;
 * more than :data:`MAX_HEADERS` headers or one longer than
   :data:`MAX_HEADER_LINE` → ``431``;
 * body larger than :data:`MAX_BODY_BYTES` (or chunked upload, which the
   gateway does not accept) → ``413``;
 * anything unparseable → ``400`` with a machine-readable ``code``.
 
-Error bodies are always ``{"error": {"code", "message"}}`` — the HTTP
-rendering of the daemon's typed reject contract.
+Error bodies are always ``{"error": {"code", "message"}}``, so a
+client branches on the machine ``code``, never on message text.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ MAX_REQUEST_LINE = 8192
 MAX_HEADER_LINE = 8192
 MAX_HEADERS = 64
 MAX_BODY_BYTES = 1024 * 1024  # requests are small grids, not uploads
+# The StreamReader's own cap, above every line limit: a peer that never
+# sends a newline is cut off here instead of being buffered forever.
+STREAM_LIMIT = 64 * 1024
 
 REASONS = {
     200: "OK", 201: "Created", 204: "No Content",

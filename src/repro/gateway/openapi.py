@@ -22,6 +22,13 @@ _JOB = {"type": "object", "properties": {
     "unique_points": {"type": "integer"},
     "counts": {"type": "object", "additionalProperties":
                {"type": "integer"}},
+    "trace": {"type": "boolean",
+              "description": "present (true) on traced jobs"},
+    "trace_path": {"type": "string",
+                   "description": "traced jobs, once terminal: the Chrome "
+                                  "trace on the gateway's filesystem "
+                                  "(REPRO_TRACE_DIR); not served over "
+                                  "HTTP"},
 }}
 
 _SUBMIT = {"type": "object",
@@ -40,6 +47,13 @@ _SUBMIT = {"type": "object",
                    "engine": {"type": "string"}}},
                "priority": {"type": "integer"},
                "check": {"type": "integer"},
+               "trace": {"type": "boolean",
+                         "description": "capture an event trace of this "
+                                        "job (one traced job at a time; "
+                                        "400 while another holds the "
+                                        "tracer). Not persisted: a job "
+                                        "recovered after a restart runs "
+                                        "untraced"},
            }}
 
 
@@ -172,7 +186,8 @@ def spec() -> Dict[str, Any]:
                 "Server-Sent-Events progress stream until terminal",
                 {"200": {"description":
                          "text/event-stream of snapshot frames; the "
-                         "final frame has event=end"},
+                         "final frame has event=end (with results when "
+                         "done, and trace_path for traced jobs)"},
                  "401": err, "404": err})},
         },
     }

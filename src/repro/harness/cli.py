@@ -11,9 +11,9 @@ Examples::
     esp-nuca all --jobs 8          # fan runs out over 8 processes
     esp-nuca repro-cache stats     # inspect the persistent run cache
     esp-nuca repro-cache clear
-    esp-nuca serve --bind 127.0.0.1:8642             # simulation daemon
-    esp-nuca submit --arch esp-nuca,shared --workload apache --watch
     esp-nuca gateway serve --db jobs.sqlite --http 127.0.0.1:8643
+    esp-nuca gateway serve --allow-anonymous         # local, no API keys
+    esp-nuca submit --arch esp-nuca,shared --workload apache --watch
     esp-nuca gateway add-tenant --tenant alice --max-jobs 4
     esp-nuca gateway migrate --db jobs.sqlite        # apply schema upgrades
     esp-nuca top --http 127.0.0.1:8643               # live /metrics dashboard
@@ -44,20 +44,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=list(EXPERIMENTS) + ["all", "run", "stats",
                                                      "list", "trace",
                                                      "overhead", "claims",
-                                                     "repro-cache", "serve",
-                                                     "submit", "gateway",
-                                                     "top"],
+                                                     "repro-cache", "submit",
+                                                     "gateway", "top"],
                         help="experiment id (figN/stability/ablation), "
                              "'all', 'run' (single run), 'stats' (one run's "
                              "per-component statistics tables), 'trace' "
                              "(record a workload trace), 'overhead' (storage "
                              "model), 'claims' (verdicts over --json dir), "
                              "'repro-cache' (persistent cache maintenance), "
-                             "'serve' (simulation daemon), 'submit' (send a "
-                             "grid to a running daemon), 'gateway' (durable "
-                             "HTTP front end), 'top' (live telemetry "
-                             "dashboard over a gateway's /metrics), or "
-                             "'list'")
+                             "'submit' (send a grid to a running gateway), "
+                             "'gateway' (durable HTTP front end), 'top' "
+                             "(live telemetry dashboard over a gateway's "
+                             "/metrics), or 'list'")
     parser.add_argument("action", nargs="?", default=None,
                         choices=["stats", "clear"] + list(EXPERIMENTS)
                         + ["run", "serve", "migrate", "add-tenant",
@@ -105,9 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(instant events are unaffected; default 1 "
                               "= every access)")
     tracing.add_argument("--trace", action="store_true",
-                         help="submit: ask the server to capture an event "
+                         help="submit: ask the gateway to capture an event "
                               "trace of this job and report the artifact "
-                              "path")
+                              "path (on the gateway's filesystem)")
     parser.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="simulation engine (default $REPRO_ENGINE or "
                              f"{DEFAULT_ENGINE!r}; both produce identical "
@@ -125,36 +123,17 @@ def _build_parser() -> argparse.ArgumentParser:
                              "sweeping machine state every Nth demand "
                              "access (bare --check = every access; see "
                              "docs/checking.md). For 'submit' the check "
-                             "runs on the server")
-    service = parser.add_argument_group("simulation service "
-                                        "('serve' / 'submit')")
-    service.add_argument("--bind", default="127.0.0.1:8642",
-                         help="service address: host:port or unix:/path "
-                              "(default 127.0.0.1:8642)")
-    service.add_argument("--queue-limit", type=int, default=256,
-                         help="serve: max queued point tasks before "
-                              "submissions get a typed queue-full reject")
-    service.add_argument("--workers", type=int, default=None,
-                         help="serve: simulation worker processes pulling "
-                              "from the shared fabric queue (default "
-                              "$REPRO_WORKERS, $REPRO_JOBS or the CPU "
-                              "count; 1 = serial; see docs/fabric.md)")
-    service.add_argument("--service-workers", type=int, default=2,
-                         help="serve: asyncio dispatcher tasks (concurrent "
-                              "executor batches), not simulation processes "
-                              "-- that is --workers")
-    service.add_argument("--batch", type=int, default=8,
-                         help="serve: max points per executor batch")
-    service.add_argument("--client-jobs", type=int, default=8,
-                         help="serve: max unfinished jobs per connection")
-    service.add_argument("--priority", type=int, default=0,
-                         help="submit: higher runs earlier (default 0)")
-    service.add_argument("--no-wait", action="store_true",
-                         help="submit: return the job id immediately "
-                              "instead of waiting for results")
-    service.add_argument("--watch", action="store_true",
-                         help="submit: stream progress events while "
-                              "waiting")
+                             "runs on the gateway")
+    submit = parser.add_argument_group("submit (a grid to a running "
+                                       "gateway at --http)")
+    submit.add_argument("--priority", type=int, default=0,
+                        help="submit: higher runs earlier (default 0)")
+    submit.add_argument("--no-wait", action="store_true",
+                        help="submit: return the job id immediately "
+                             "instead of waiting for results")
+    submit.add_argument("--watch", action="store_true",
+                        help="submit: stream progress events while "
+                             "waiting")
     gateway = parser.add_argument_group("HTTP gateway ('gateway ...'; "
                                         "see docs/gateway.md)")
     gateway.add_argument("--db", default="gateway.sqlite",
@@ -162,7 +141,24 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default gateway.sqlite)")
     gateway.add_argument("--http", default="127.0.0.1:8643",
                          help="gateway serve: HTTP bind host:port or "
-                              "unix:/path (default 127.0.0.1:8643)")
+                              "unix:/path; submit/top: the gateway's "
+                              "host:port (default 127.0.0.1:8643)")
+    gateway.add_argument("--queue-limit", type=int, default=256,
+                         help="gateway serve: max queued point tasks "
+                              "before submissions get a typed queue-full "
+                              "reject")
+    gateway.add_argument("--workers", type=int, default=None,
+                         help="gateway serve: simulation worker processes "
+                              "pulling from the shared fabric queue "
+                              "(default $REPRO_JOBS or the CPU count; "
+                              "1 = serial; see docs/fabric.md)")
+    gateway.add_argument("--service-workers", type=int, default=2,
+                         help="gateway serve: asyncio dispatcher tasks "
+                              "(concurrent executor batches), not "
+                              "simulation processes -- that is --workers")
+    gateway.add_argument("--batch", type=int, default=8,
+                         help="gateway serve: max points per executor "
+                              "batch")
     gateway.add_argument("--tenant", default=None,
                          help="gateway add-tenant: tenant name (lowercase "
                               "alphanumeric plus '-'/'_')")
@@ -181,8 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--allow-anonymous", action="store_true",
                          help="gateway serve: accept unauthenticated "
                               "requests as the shared 'anon' tenant "
-                              "(dev/test only)")
-    obs = parser.add_argument_group("telemetry ('top' / daemon logging; "
+                              "(local use; shared gateways should "
+                              "require keys)")
+    obs = parser.add_argument_group("telemetry ('top' / gateway logging; "
                                     "see docs/observability.md)")
     obs.add_argument("--interval", type=float, default=2.0,
                      help="top: seconds between /metrics scrapes "
@@ -191,17 +188,18 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="top: render a single frame and exit (no "
                           "screen clearing; script-friendly)")
     obs.add_argument("--api-key", default=None,
-                     help="top: gateway API key (optional — /metrics "
-                          "and /readyz need no auth)")
+                     help="submit/top: gateway API key (submit needs "
+                          "one unless the gateway allows anonymous "
+                          "requests; /metrics and /readyz need none)")
     obs.add_argument("--log-level", default=None,
                      choices=["debug", "info", "warning", "error"],
-                     help="serve/gateway serve: structured-log "
-                          "threshold on stderr (default: info; "
-                          "propagated to fabric workers via REPRO_LOG)")
+                     help="gateway serve: structured-log threshold on "
+                          "stderr (default: info; propagated to fabric "
+                          "workers via REPRO_LOG)")
     obs.add_argument("--log-format", default="json",
                      choices=["json", "human"],
-                     help="serve/gateway serve: one JSON object per "
-                          "line (default) or human-readable lines")
+                     help="gateway serve: one JSON object per line "
+                          "(default) or human-readable lines")
     return parser
 
 
@@ -311,75 +309,6 @@ def _event_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve(args: argparse.Namespace) -> int:
-    """``esp-nuca serve`` — run the simulation daemon until drained."""
-    import asyncio
-    import signal
-
-    from repro.harness.executor import Executor
-    from repro.harness.runcache import RunCache
-    from repro.harness.fabric import default_workers
-    from repro.obs.logging import configure
-    from repro.service.protocol import parse_address
-    from repro.service.server import ServiceConfig, SimulationService
-
-    # Structured logs on stderr; the parseable startup/drained lines
-    # below stay on stdout (tools/service_smoke.py greps them).
-    configure(args.log_level or "info", fmt=args.log_format)
-    try:
-        bind = parse_address(args.bind)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        # A 0-process fabric would accept jobs and never run one — fail
-        # loudly instead of hanging the first submitter.
-        print("error: --workers must be >= 1 (simulation worker "
-              "processes); got "
-              f"{args.workers}", file=sys.stderr)
-        return 2
-    if args.workers is not None:
-        workers = args.workers
-    elif args.jobs is not None:
-        workers = args.jobs
-    else:
-        workers = default_workers()
-    cache = RunCache(enabled=False) if args.no_cache else RunCache.from_env()
-    service = SimulationService(
-        ServiceConfig(bind=bind, queue_limit=args.queue_limit,
-                      workers=args.service_workers, batch=args.batch,
-                      client_jobs=args.client_jobs),
-        executor=Executor(jobs=workers, cache=cache),
-        settings=_settings(args))
-
-    async def _main() -> None:
-        address = await service.start()
-        shown = (f"unix:{address[1]}" if address[0] == "unix"
-                 else f"{address[1]}:{address[2]}")
-        print(f"esp-nuca service listening on {shown} "
-              f"(queue limit {args.queue_limit}, "
-              f"{workers} simulation process(es), "
-              f"{args.service_workers} dispatcher(s) x batch {args.batch})",
-              flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(service.shutdown()))
-            except NotImplementedError:  # pragma: no cover — non-POSIX
-                pass
-        await service.serve_forever()
-        points = service.points_requested
-        print(f"service drained: {len(service.jobs)} job(s), "
-              f"{points} point(s) requested, "
-              f"{service.points_cached} from cache, "
-              f"{service.points_coalesced} coalesced, "
-              f"{service.executor.executed} executed", flush=True)
-
-    asyncio.run(_main())
-    return 0
-
-
 def _gateway(args: argparse.Namespace) -> int:
     """``esp-nuca gateway <serve|migrate|add-tenant|list-tenants>`` —
     the durable multi-tenant HTTP front end (docs/gateway.md)."""
@@ -445,41 +374,51 @@ def _gateway(args: argparse.Namespace) -> int:
     import signal
 
     from repro.gateway.app import Gateway, GatewayConfig
-    from repro.harness.executor import Executor
-    from repro.harness.fabric import default_workers
+    from repro.harness.executor import Executor, default_jobs
     from repro.harness.runcache import RunCache
     from repro.obs.logging import configure
     from repro.service.protocol import parse_address
 
-    # Structured logs on stderr; the parseable startup/drained lines
-    # below stay on stdout (tools/gateway_smoke.py greps them).
-    configure(args.log_level or "info", fmt=args.log_format)
     try:
         bind = parse_address(args.http)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
+        # A 0-process fabric would accept jobs and never run one — fail
+        # loudly instead of hanging the first submitter.
+        print(f"error: --workers must be >= 1 (simulation worker "
+              f"processes), got {args.workers}", file=sys.stderr)
         return 2
-    if args.workers is not None:
-        workers = args.workers
-    elif args.jobs is not None:
-        workers = args.jobs
-    else:
-        workers = default_workers()
+    try:
+        workers = (args.workers if args.workers is not None
+                   else default_jobs())
+    except ValueError as exc:  # malformed REPRO_JOBS, named in exc
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # Structured logs on stderr; the parseable startup/drained lines
+    # below stay on stdout (tools/gateway_smoke.py greps them).
+    configure(args.log_level or "info", fmt=args.log_format)
     cache = RunCache(enabled=False) if args.no_cache else RunCache.from_env()
+    executor = Executor(jobs=workers, cache=cache)
     gateway = Gateway(
         GatewayConfig(bind=bind, db_path=args.db,
                       queue_limit=args.queue_limit,
                       workers=args.service_workers, batch=args.batch,
                       allow_anonymous=args.allow_anonymous),
-        executor=Executor(jobs=workers, cache=cache),
-        settings=_settings(args))
+        executor=executor, settings=_settings(args))
 
     async def _main() -> None:
         address = await gateway.start()
+        # Handlers first: a SIGTERM right after the startup line must
+        # drain, not kill.
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(
+                    sig, lambda: asyncio.ensure_future(gateway.shutdown()))
+            except NotImplementedError:  # pragma: no cover — non-POSIX
+                pass
         shown = (f"unix:{address[1]}" if address[0] == "unix"
                  else f"http://{address[1]}:{address[2]}")
         backlog = len(gateway.store.unfinished_jobs())
@@ -489,13 +428,6 @@ def _gateway(args: argparse.Namespace) -> int:
               f"{'anonymous allowed' if args.allow_anonymous else 'API keys required'}"
               f"{f', recovering {backlog} job(s)' if backlog else ''})",
               flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(gateway.shutdown()))
-            except NotImplementedError:  # pragma: no cover — non-POSIX
-                pass
         await gateway.serve_forever()
         print(f"gateway drained: {len(gateway.core.jobs)} live job(s), "
               f"{gateway.c_recovered.value} recovered, "
@@ -511,8 +443,7 @@ def _top(args: argparse.Namespace) -> int:
     telemetry"). Works without an API key: both routes are pre-auth."""
     from repro.obs.top import run_top
 
-    host = args.http
-    url = host if host.startswith("http://") else f"http://{host}"
+    url = _gateway_url(args.http)
     if args.interval <= 0:
         print("error: --interval must be > 0", file=sys.stderr)
         return 2
@@ -523,9 +454,15 @@ def _top(args: argparse.Namespace) -> int:
         return 0
 
 
+def _gateway_url(address: str) -> str:
+    """``--http`` as a client base URL (``host:port`` or a full
+    ``http://`` URL)."""
+    return address if address.startswith("http://") else f"http://{address}"
+
+
 def _submit(args: argparse.Namespace) -> int:
-    """``esp-nuca submit`` — send one grid to a running daemon."""
-    from repro.service.client import (ServiceClient, ServiceError,
+    """``esp-nuca submit`` — send one grid to a running gateway."""
+    from repro.gateway.client import (GatewayClient, GatewayError,
                                       payloads_to_results)
 
     archs = [a.strip() for a in args.arch.split(",") if a.strip()]
@@ -537,55 +474,52 @@ def _submit(args: argparse.Namespace) -> int:
         ("num_seeds", args.seeds),
         ("engine", args.engine),
     ) if value is not None}
-    wait = not args.no_wait
+    url = _gateway_url(args.http)
     try:
-        with ServiceClient.connect(args.bind) as client:
-            if args.watch:
-                reply = client.submit(archs, workloads,
-                                      settings=settings or None,
-                                      priority=args.priority, wait=False,
-                                      trace=args.trace, check=args.check)
-                job = reply["job"]
-                final = reply
-                for event in client.watch(job):
-                    if event.get("event") == "progress":
+        client = GatewayClient(url, api_key=args.api_key)
+    except ValueError as exc:  # --http is not a host:port
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        with client:
+            reply = client.submit(archs, workloads,
+                                  settings=settings or None,
+                                  priority=args.priority, check=args.check,
+                                  trace=args.trace)
+            job = reply["job"]
+            if args.no_wait:
+                print(f"job {job}: {reply['state']}")
+                return 0
+            # A fully cached grid is answered in the submit reply; any
+            # other job (or a trace, whose path lands at the end) is
+            # followed to its end event.
+            if "results" not in reply or args.trace:
+                for event in client.events(job):
+                    if event.get("event") == "end":
+                        reply = dict(reply, **event)
+                    elif args.watch:
                         counts = event["counts"]
                         print(f"[{job}] {event['state']}: "
                               f"{counts['done'] + counts['cached']}"
                               f"/{event['unique_points']} point(s) done "
                               f"({counts['cached']} cached, "
                               f"{counts['running']} running)", flush=True)
-                    else:
-                        final = event
-                reply = final
-            else:
-                reply = client.submit(archs, workloads,
-                                      settings=settings or None,
-                                      priority=args.priority, wait=wait,
-                                      trace=args.trace, check=args.check)
-    except ServiceError as exc:
+    except GatewayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"error: cannot reach service at {args.bind}: {exc}",
+    except OSError as exc:
+        print(f"error: cannot reach gateway at {url}: {exc}",
               file=sys.stderr)
         return 1
-    state = reply.get("state", "queued")
-    job = reply.get("job", "?")
+    state = reply["state"]
     if reply.get("trace_path"):
         print(f"trace written to {reply['trace_path']} "
-              f"(server filesystem; open in chrome://tracing)")
-    elif args.trace:
-        print(f"trace capture pending; 'status' on job {job} "
-              f"reports trace_path once the job completes")
-    if "results" not in reply:
-        print(f"job {job}: {state}"
-              + ("" if wait or args.watch else " (use 'status'/'watch')"))
-        if reply.get("errors"):
-            for key, message in reply["errors"].items():
-                print(f"  point failed: {message}", file=sys.stderr)
-            return 1
-        return 0
+              f"(gateway filesystem; open in chrome://tracing)")
+    if "results" not in reply:  # failed, cancelled, or the stream broke
+        print(f"job {job}: {state}")
+        for message in reply.get("errors", {}).values():
+            print(f"  point failed: {message}", file=sys.stderr)
+        return 1
     if args.json is not None:
         payload = json.dumps(reply["results"], indent=2, sort_keys=True)
         if args.json == "-":
@@ -639,8 +573,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.harness.runcache import main as cache_main
 
         return cache_main([args.action or "stats"])
-    if args.experiment == "serve":
-        return _serve(args)
     if args.experiment == "submit":
         return _submit(args)
     if args.experiment == "gateway":

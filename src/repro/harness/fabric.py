@@ -15,23 +15,23 @@ a :class:`WorkerPool` of spawned ``multiprocessing`` workers pulling
   (``attempt`` tracking); a second crash on the same job fails it with
   :class:`WorkerCrashError` instead of retrying forever;
 * **one pool for everything** — the :class:`~repro.harness.executor.
-  Executor` routes its parallel batches here, and since the simulation
-  service schedules through the executor, direct runs, ``esp-nuca
-  repro`` experiments and ``esp-nuca serve --workers N`` all share
-  this one implementation. Results are byte-identical to serial runs
+  Executor` routes its parallel batches here, and since the gateway
+  schedules through the executor, direct runs, experiments and
+  ``esp-nuca gateway serve --workers N`` all share this one
+  implementation. Results are byte-identical to serial runs
   (``tests/test_fabric.py`` and ``tests/test_executor.py`` pin it);
 * **cross-process cache coalescing** — the default job runner
   (:func:`run_point_batch`) rebuilds the shard-aware
   :class:`~repro.harness.runcache.RunCache` inside the worker and does
   a read-through probe before simulating each point, so a point
-  another process (another worker, another daemon sharing the cache
+  another process (another worker, another gateway sharing the cache
   directory) already committed is served from disk instead of being
   re-simulated.
 
-Worker count for the service comes from ``REPRO_WORKERS`` (validated
-like every ``REPRO_*`` knob; falls back to ``REPRO_JOBS`` / CPU
-count). Trace integration: pool lifecycle events (worker spawned /
-crashed / job requeued) are emitted under the ``fabric`` category, and
+Worker count is the executor's: ``--workers`` on ``gateway serve``,
+else ``REPRO_JOBS`` or the CPU count. Trace integration: pool
+lifecycle events (worker spawned / crashed / job requeued) are
+emitted under the ``fabric`` category, and
 every completed job reports the **worker process id** that executed
 it, which the executor attaches to its ``pool run`` span metadata —
 the distinct-PID evidence that ``--workers N`` really runs N OS
@@ -48,7 +48,7 @@ import time
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.harness.runcache import RunCache, env_int
+from repro.harness.runcache import RunCache
 from repro.obs import trace as obs
 from repro.obs.logging import configure_from_env, get_logger
 
@@ -63,14 +63,6 @@ MONITOR_INTERVAL = 0.05
 #: Seconds a closing pool waits for a worker to exit voluntarily
 #: before terminating it.
 CLOSE_GRACE = 5.0
-
-
-def default_workers() -> int:
-    """Simulation worker processes for the service: ``REPRO_WORKERS``
-    (validated, >= 1) or the executor's ``REPRO_JOBS``/CPU default."""
-    from repro.harness.executor import default_jobs
-
-    return env_int("REPRO_WORKERS", default_jobs(), minimum=1)
 
 
 def mp_context():
@@ -212,7 +204,7 @@ class WorkerPool:
     ``submit(payload)`` returns a :class:`concurrent.futures.Future`
     resolving to ``(value, worker_pid)``; ``run_batch(payloads)``
     submits a list and blocks for all of them (thread-safe — the
-    service's dispatcher threads share one pool). ``runner`` is the
+    gateway's dispatcher threads share one pool). ``runner`` is the
     function executed in the worker (module-level, so it survives the
     spawn start method); the default is :func:`run_point_batch`.
     """
@@ -238,8 +230,8 @@ class WorkerPool:
         self._closing = threading.Event()
         self._closed = False
         self._last_heartbeat: Dict[int, float] = {}
-        # lifetime counters (exposed via stats(), served by the
-        # service's `status` command)
+        # lifetime counters (exposed via stats(), served in the
+        # gateway's /v1/status)
         self.dispatched = 0
         self.completed = 0
         self.requeued = 0

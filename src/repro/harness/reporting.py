@@ -88,7 +88,7 @@ def run_stats_payload(result) -> Dict[str, object]:
     :meth:`~repro.sim.results.SimResult.to_dict` snapshot (flat counters
     plus the hierarchical ``stats`` registry tree). This is the single
     wire serializer — ``esp-nuca stats --json`` prints it and the
-    simulation service's ``watch``/result streams carry it."""
+    gateway's event streams and results carry it."""
     return result.to_dict()
 
 

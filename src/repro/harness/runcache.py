@@ -95,9 +95,9 @@ def env_int(name: str, default: int, minimum: int = 0) -> int:
 
     Unset or blank returns ``default``; anything non-integer or below
     ``minimum`` raises a :class:`ValueError` naming the variable, so a
-    typo in ``REPRO_WORKERS`` fails at startup instead of deep inside
+    typo in ``REPRO_JOBS`` fails at startup instead of deep inside
     ``int()``. (Shared by every ``REPRO_*`` integer knob: ``REPRO_JOBS``,
-    ``REPRO_WORKERS``, ``REPRO_CACHE_SHARDS``, ``REPRO_REFS``, ...)
+    ``REPRO_CACHE_SHARDS``, ``REPRO_REFS``, ...)
     """
     raw = os.environ.get(name)
     if raw is None or raw.strip() == "":

@@ -1,30 +1,23 @@
-"""Long-running simulation service on top of the executor + run cache.
+"""The service core behind the HTTP gateway.
 
 The batch harness answers "reproduce figure N"; this package answers
-"serve simulation requests continuously": a daemon (``esp-nuca serve``)
-owning a prioritized bounded job queue, batched workers over
-:class:`~repro.harness.executor.Executor`, cache-hit fast paths through
-:class:`~repro.harness.runcache.RunCache`, and a JSON-lines protocol
-with streaming progress (``esp-nuca submit``). See docs/service.md.
+"serve simulation requests continuously": a prioritized bounded job
+queue with in-flight coalescing (:mod:`~repro.service.queue`), per-job
+progress with streaming snapshots (:mod:`~repro.service.progress`),
+and the :class:`~repro.service.core.ServiceCore` that ties them to the
+:class:`~repro.harness.executor.Executor`, the run cache and the
+worker fabric. The gateway (:mod:`repro.gateway`, ``esp-nuca gateway
+serve``) is its front door; see docs/gateway.md.
 """
 
-from repro.service.client import (ServiceClient, ServiceError,
-                                  payloads_to_results)
 from repro.service.core import ServiceCore
-from repro.service.protocol import parse_address
+from repro.service.protocol import ProtocolError, parse_address
 from repro.service.queue import QueueFullError, Scheduler
-from repro.service.server import (ServiceConfig, ServiceThread,
-                                  SimulationService)
 
 __all__ = [
-    "ServiceClient",
-    "ServiceError",
-    "ServiceConfig",
     "ServiceCore",
-    "ServiceThread",
-    "SimulationService",
     "Scheduler",
+    "ProtocolError",
     "QueueFullError",
     "parse_address",
-    "payloads_to_results",
 ]

@@ -1,10 +1,8 @@
 """Transport-agnostic service core: admission, coalescing, dispatch.
 
-Two front ends serve simulations out of one process: the JSON-lines
-socket daemon (:mod:`repro.service.server`, ``esp-nuca serve``) and the
-HTTP gateway (:mod:`repro.gateway`, ``esp-nuca gateway serve``). Both
-need exactly the same machinery between "a validated grid request" and
-"a resolved :class:`~repro.service.progress.Job`":
+The HTTP gateway (:mod:`repro.gateway`, ``esp-nuca gateway serve``)
+is the front door; this module is everything between "a validated grid
+request" and "a resolved :class:`~repro.service.progress.Job`":
 
 * grid expansion through :func:`~repro.harness.runner.grid_points`
   (the single source of truth that makes service results byte-identical
@@ -17,19 +15,21 @@ need exactly the same machinery between "a validated grid request" and
 * ``workers`` asyncio dispatcher tasks pulling batches through the
   :class:`~repro.harness.executor.Executor` on a thread pool (the
   actual CPU work happens in the fabric's worker processes);
+* traced jobs: one job at a time may hold the process-global event
+  tracer; its Chrome trace is written under ``REPRO_TRACE_DIR`` when
+  the job ends and its path lands in the terminal snapshot;
 * the drain barrier: backlog finishes, every job resolves, dispatchers
   stop, the fabric's worker processes are torn down.
 
-This module is that shared layer, extracted from the PR 3 daemon so the
-gateway does not fork it. Everything here runs on one event loop
-thread; the front ends own wire concerns (protocol framing, HTTP,
-authentication, persistence) and call in.
+Everything here runs on one event loop thread; the front end owns wire
+concerns (HTTP, authentication, persistence) and calls in.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
+import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
@@ -41,6 +41,7 @@ from repro.harness.executor import Executor
 from repro.harness.reporting import run_stats_payload
 from repro.harness.runner import RunSettings, grid_points
 from repro.obs import trace as obs
+from repro.obs.export import write_chrome
 from repro.obs.logging import get_logger
 from repro.service import protocol as proto
 from repro.service import queue as q
@@ -52,14 +53,14 @@ _log = get_logger("core")
 
 
 class ServiceCore:
-    """Scheduler + dispatchers + executor behind any service front end.
+    """Scheduler + dispatchers + executor behind the gateway.
 
     One core owns one :class:`Executor` (and through it the run cache
     and the worker fabric), one :class:`Scheduler`, and the job table.
-    Front ends validate their wire format into ``(architectures,
-    workloads, settings, seeds)``, then drive :meth:`create_job` /
-    :meth:`admit`; everything downstream (coalescing, cache fast path,
-    batched dispatch, drain) is shared.
+    The gateway validates a request body with :meth:`request_points`,
+    then drives :meth:`create_job` / :meth:`admit`; everything
+    downstream (coalescing, cache fast path, batched dispatch, traced
+    jobs, drain) lives here.
     """
 
     def __init__(self, executor: Optional[Executor] = None,
@@ -78,7 +79,6 @@ class ServiceCore:
         self.scheduler: Optional[q.Scheduler] = None
         self.jobs: Dict[str, Job] = {}
         self.draining = False
-        self._job_seq = itertools.count(1)
         self._workers: List[asyncio.Task] = []
         self._pool: Optional[ThreadPoolExecutor] = None
         self._followers: Dict[str, List[Job]] = {}
@@ -90,6 +90,11 @@ class ServiceCore:
         self.points_coalesced = 0
         self.points_enqueued = 0
         self._busy = 0
+        # Event-trace capture: one traced job at a time, because the
+        # tracer is process-global while it is installed.
+        self._trace_job: Optional[Job] = None
+        self._tracer: Optional[obs.Tracer] = None
+        self._trace_prev: Any = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -123,7 +128,7 @@ class ServiceCore:
             self._pool.shutdown(wait=True)
             self._pool = None
         # Tear down the fabric's simulation processes as well — the
-        # drain barrier means no worker process outlives the daemon.
+        # drain barrier means no worker process outlives the gateway.
         self.executor.close()
         _log.info("core drained", jobs=len(self.jobs),
                   executed=self.executor.executed, workers_alive=alive)
@@ -223,7 +228,7 @@ class ServiceCore:
 
     def request_settings(self, message: Dict[str, Any]) -> RunSettings:
         """Validated :class:`RunSettings` from a request's ``settings``
-        object (both front ends accept the same field set); raises
+        object; raises
         :class:`~repro.service.protocol.ProtocolError`."""
         raw = message.get("settings", {})
         if raw is None:
@@ -268,7 +273,7 @@ class ServiceCore:
 
     def request_points(self, message: Dict[str, Any]
                        ) -> Tuple[List, int, int]:
-        """Validate one submit-shaped message (either wire format) into
+        """Validate one submit-shaped message into
         ``(points, priority, check)``; raises
         :class:`~repro.service.protocol.ProtocolError` on any bad
         field."""
@@ -287,19 +292,27 @@ class ServiceCore:
         points = grid_points(config, settings, archs, workloads, seeds)
         return points, priority, check
 
+    def request_trace(self, message: Dict[str, Any]) -> bool:
+        """The validated ``trace`` flag of a submit; raises
+        :class:`~repro.service.protocol.ProtocolError` when another job
+        already holds the tracer (one traced job at a time)."""
+        trace = message.get("trace", False)
+        if not isinstance(trace, bool):
+            raise proto.ProtocolError(
+                f"field 'trace' must be a boolean, got {trace!r}")
+        if trace and self._trace_job is not None:
+            raise proto.ProtocolError(
+                f"job {self._trace_job.id} is already being traced "
+                f"(one traced job at a time)")
+        return trace
+
     # -- job admission -------------------------------------------------------
 
-    def new_job_id(self) -> str:
-        return f"j{next(self._job_seq)}"
-
     def create_job(self, points: List, priority: int, owner: str,
-                   job_id: Optional[str] = None
-                   ) -> Tuple[Job, "Dict[str, Any]"]:
+                   job_id: str) -> Tuple[Job, "Dict[str, Any]"]:
         """Build the (not yet admitted) job for a point list; returns
-        ``(job, unique_points)``. ``job_id`` lets a front end with
-        persistent identity (the gateway) reuse its stored id."""
-        if job_id is None:
-            job_id = self.new_job_id()
+        ``(job, unique_points)``. ``job_id`` is the gateway's stored
+        id."""
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
         self.points_requested += len(points)
@@ -315,11 +328,34 @@ class ServiceCore:
         job.gauges = self.gauges
         return job, unique
 
-    def admit(self, job: Job, unique: Dict[str, Any]) -> None:
+    def admit(self, job: Job, unique: Dict[str, Any],
+              trace: bool = False) -> None:
         """Resolve cache hits, admit the rest (all or nothing), and
         register the job. Raises
         :class:`~repro.service.queue.QueueFullError` with the job
-        unregistered — the caller just drops it."""
+        unregistered — the caller just drops it. ``trace`` installs the
+        event tracer for the job's lifetime (check the slot first with
+        :meth:`request_trace`)."""
+        if trace:
+            self._begin_trace(job)
+            try:
+                self._admit(job, unique)
+            except q.QueueFullError:
+                self._end_trace()
+                raise
+            tracer = self._tracer
+            if tracer.wants("service"):
+                tracer.instant(
+                    "service", "job admitted", ts=tracer.wall_now(),
+                    pid=tracer.wall_pid, tid=f"job {job.id}",
+                    args={"points": len(job.order), "cached": job.cached,
+                          "coalesced": job.coalesced})
+            self._emit_gauges()
+            job.done.add_done_callback(lambda _: self._finish_trace(job))
+        else:
+            self._admit(job, unique)
+
+    def _admit(self, job: Job, unique: Dict[str, Any]) -> None:
         missing: List[Tuple[str, Any]] = []
         for key, point in unique.items():
             cached = self.executor.cache.get(key)
@@ -340,6 +376,58 @@ class ServiceCore:
                    unique=len(unique), cached=job.cached,
                    coalesced=coalesced,
                    enqueued=len(missing) - coalesced)
+
+    # -- event tracing -------------------------------------------------------
+
+    def _begin_trace(self, job: Job) -> None:
+        """Install a process-global tracer for one job's lifetime.
+
+        The capture is process-wide: it records every simulation the
+        executor runs while the job is active. For a clean single-job
+        trace run the gateway serially (``--workers 1``). Sim-clock
+        events of points dispatched to fabric worker processes are not
+        captured (the executor emits a ``pool dispatch`` marker
+        instead); a one-point batch runs in the gateway process, which
+        is what the CI smoke test traces.
+        """
+        self._tracer = obs.Tracer()
+        self._trace_job = job
+        self._trace_prev = obs.install(self._tracer)
+        job.trace = True
+
+    def _end_trace(self) -> None:
+        """Restore the previous tracer and free the slot."""
+        obs.install(self._trace_prev)
+        self._trace_job = None
+        self._tracer = None
+        self._trace_prev = None
+
+    def _finish_trace(self, job: Job) -> None:
+        """The traced job reached a terminal state: render its
+        lifecycle spans, export the capture, and free the slot."""
+        tracer = self._tracer
+        self._end_trace()
+        if tracer.wants("service") and job.timeline:
+            tid = f"job {job.id}"
+            for (state, ts), (_, ts_next) in zip(job.timeline,
+                                                 job.timeline[1:]):
+                tracer.complete("service", state, ts=ts, dur=ts_next - ts,
+                                pid=tracer.wall_pid, tid=tid)
+            last_state, last_ts = job.timeline[-1]
+            tracer.instant("service", last_state, ts=last_ts,
+                           pid=tracer.wall_pid, tid=tid,
+                           args={"job": job.id})
+        directory = (os.environ.get("REPRO_TRACE_DIR")
+                     or os.path.join(tempfile.gettempdir(),
+                                     "esp-nuca-traces"))
+        path = os.path.join(directory, f"{job.id}.trace.json")
+        try:
+            os.makedirs(directory, exist_ok=True)
+            write_chrome(tracer, path)
+        except OSError as exc:
+            job.trace_error = f"trace export failed: {exc}"
+        else:
+            job.trace_path = path
 
     def get_job(self, job_id: Any) -> Optional[Job]:
         return self.jobs.get(job_id) if isinstance(job_id, str) else None

@@ -1,116 +1,19 @@
-"""Wire protocol of the simulation service: JSON lines over a stream.
+"""Validation of outside input: request fields and bind addresses.
 
-One message per line, UTF-8 JSON objects, newline-terminated — readable
-with ``nc``/``socat`` and parseable with nothing but the stdlib. The
-same framing runs over TCP and Unix-domain sockets.
-
-Requests carry a ``cmd`` field::
-
-    {"cmd": "ping"}
-    {"cmd": "submit", "architectures": ["esp-nuca"], "workloads": ["apache"],
-     "settings": {"refs_per_core": 400}, "priority": 0, "wait": true}
-    {"cmd": "submit", ..., "trace": true}   # capture an event trace of
-                                            # the job; the terminal
-                                            # snapshot carries trace_path
-    {"cmd": "status"}                  # server-level
-    {"cmd": "status", "job": "j3"}     # one job
-    {"cmd": "watch", "job": "j3"}      # streams progress events
-    {"cmd": "cancel", "job": "j3"}
-    {"cmd": "drain"}
-
-Responses are either ``{"ok": true, ...}`` or a **typed error**::
-
-    {"ok": false, "error": {"code": "queue-full", "message": "..."}}
-
-``watch`` is the one streaming command: the server emits
-``{"event": "progress", ...}`` lines as the job advances and terminates
-the stream with ``{"event": "end", ...}``.
-
-Run results cross the wire as :meth:`repro.sim.results.SimResult.to_dict`
-payloads — the exact serialization the persistent run cache stores and
-:meth:`~repro.sim.results.SimResult.from_dict` round-trips, so a client
-can rebuild full ``SimResult`` objects (see
-:func:`repro.service.client.payloads_to_results`).
+The gateway's request bodies are validated field by field with these
+helpers (through :meth:`repro.service.core.ServiceCore.request_points`);
+a bad field raises :class:`ProtocolError`, which the gateway answers
+with a typed ``400 bad-request``. :func:`parse_address` parses the
+``--http`` bind.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
-
-#: Protocol revision; servers reject requests from newer-versioned
-#: clients with ``bad-request`` instead of misinterpreting them.
-PROTOCOL_VERSION = 1
-
-#: Hard cap on one encoded message line (guards the server against a
-#: client streaming an unbounded line; results can be large, requests
-#: cannot).
-MAX_LINE_BYTES = 4 * 1024 * 1024
-
-#: Typed error codes — the complete set a client must handle.
-ERR_BAD_REQUEST = "bad-request"      # malformed JSON / unknown cmd / bad field
-ERR_QUEUE_FULL = "queue-full"        # bounded queue cannot take the grid
-ERR_CLIENT_LIMIT = "client-limit"    # too many unfinished jobs on this conn
-ERR_DRAINING = "draining"            # server is draining, no new work
-ERR_UNKNOWN_JOB = "unknown-job"      # status/watch/cancel of a missing id
-ERR_INTERNAL = "internal"            # simulation raised; message has detail
-
-COMMANDS = ("ping", "submit", "status", "watch", "cancel", "drain")
 
 
 class ProtocolError(Exception):
-    """A message that cannot be decoded or fails validation."""
-
-    def __init__(self, message: str, code: str = ERR_BAD_REQUEST) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-def encode(message: Dict[str, Any]) -> bytes:
-    """One wire line: compact JSON + newline."""
-    return (json.dumps(message, sort_keys=True,
-                       separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def decode(line: bytes) -> Dict[str, Any]:
-    """Parse one wire line into a message dict.
-
-    Raises :class:`ProtocolError` on anything that is not a JSON object
-    small enough to be a legal message.
-    """
-    if len(line) > MAX_LINE_BYTES:
-        raise ProtocolError(f"message exceeds {MAX_LINE_BYTES} bytes")
-    try:
-        message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"undecodable message: {exc}") from None
-    if not isinstance(message, dict):
-        raise ProtocolError("message must be a JSON object")
-    return message
-
-
-def ok(**fields: Any) -> Dict[str, Any]:
-    out: Dict[str, Any] = {"ok": True}
-    out.update(fields)
-    return out
-
-
-def error(code: str, message: str) -> Dict[str, Any]:
-    return {"ok": False, "error": {"code": code, "message": message}}
-
-
-def validate_request(message: Dict[str, Any]) -> str:
-    """Check the envelope of a request; returns the command name."""
-    cmd = message.get("cmd")
-    if cmd not in COMMANDS:
-        raise ProtocolError(
-            f"unknown cmd {cmd!r} (expected one of {', '.join(COMMANDS)})")
-    version = message.get("version", PROTOCOL_VERSION)
-    if not isinstance(version, int) or version > PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"protocol version {version!r} not supported "
-            f"(server speaks {PROTOCOL_VERSION})")
-    return cmd
+    """A request field that fails validation."""
 
 
 def check_int(message: Dict[str, Any], field: str, default: int,
@@ -146,9 +49,10 @@ def check_names(message: Dict[str, Any], field: str,
     return value
 
 
-# -- address parsing (shared by server bind and client connect) --------------
+# -- address parsing (the gateway's --http bind) ------------------------------
 
-DEFAULT_PORT = 8642
+#: The gateway's port when an address names only a host.
+DEFAULT_PORT = 8643
 
 
 def parse_address(text: str):

@@ -8,8 +8,7 @@ per-controller and per-policy breakdowns. ``to_dict``/``from_dict``
 round-trip the whole object through JSON losslessly; that form is the
 repo's one result serialization — the persistent run cache stores it,
 the ``esp-nuca stats`` renderer (and its ``--json`` mode) prints it,
-and the simulation service streams it over the wire (see
-docs/service.md).
+and the gateway serves it over HTTP (see docs/gateway.md).
 """
 
 from __future__ import annotations

@@ -33,16 +33,10 @@ duration of one fast phase; ``uninstall`` deletes the shadows. The
 class methods themselves are untouched, so the reference engine — and
 any fallback to reference granularity — pays nothing, not even a flag
 test (docs/engine.md, "The functional/timing split rule").
-
-``REPRO_CONTENTION_KERNELS=0`` disables the kernels (the engine then
-serves contention through the unmodified ``CmpSystem.access`` path,
-PR-6 behaviour); unset or ``1`` enables them. CI runs the equivalence
-suite both ways.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, List
 
 from repro.common.statsreg import _HIST_BUCKETS
@@ -51,14 +45,6 @@ from repro.sim.request import Supplier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.system import CmpSystem
-
-
-def kernels_enabled() -> bool:
-    """The ``REPRO_CONTENTION_KERNELS`` knob (default: enabled)."""
-    raw = os.environ.get("REPRO_CONTENTION_KERNELS")
-    if raw is None or raw.strip() == "":
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off")
 
 
 class ContentionSession:

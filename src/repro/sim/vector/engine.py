@@ -27,8 +27,10 @@ The schedule per epoch:
    to an earlier one).
 4. **full commit + serve** — the owner commits its entire run (its own
    references are FIFO, so its locals precede its contention at any
-   key), then its contention reference is served through the untouched
-   reference path (``CmpSystem.access``).
+   key), then its contention reference is served inline: the live
+   architecture's miss/upgrade methods, with timing reservations and
+   statistics through the contention kernels
+   (:mod:`repro.sim.vector.contention`).
 5. **journal drain** — the contention may have changed L1 membership or
    taken L1 tokens; the :class:`~repro.sim.vector.mirror.MirrorJournal`
    names the affected cores, whose classifications are invalidated.
@@ -50,7 +52,6 @@ from typing import Iterator, List, Optional, Sequence
 from repro.common.statsreg import _HIST_BUCKETS
 from repro.sim.cpu import TraceItem
 from repro.sim.engine import SimulationEngine
-from repro.sim.request import Supplier
 from repro.sim.system import CmpSystem
 from repro.sim.vector import contention, soa
 from repro.sim.vector.mirror import MirrorJournal
@@ -76,11 +77,8 @@ class VectorizedEngine(SimulationEngine):
             SoATrace(t) if t is not None else None for t in items]
         self._journal: Optional[MirrorJournal] = None
         # Contention-kernel session (docs/engine.md): lazily built,
-        # installed only for the span of a fast phase. ``_session``
-        # caches the object; ``_session_active`` is non-None exactly
-        # while its kernels are installed.
+        # installed only for the span of a fast phase.
         self._session: Optional[contention.ContentionSession] = None
-        self._session_active: Optional[contention.ContentionSession] = None
         self._run_len = [0] * n
         self._park_clock = [0] * n
         self._scout: List[Optional[tuple]] = [None] * n
@@ -114,9 +112,6 @@ class VectorizedEngine(SimulationEngine):
         self._win = core_cfg.window_size
         self._mo = core_cfg.max_outstanding
         self._l1_bucket = min(self._l1_lat.bit_length(), _HIST_BUCKETS - 1)
-        self._local_count = system._access_count[Supplier.L1_LOCAL]
-        self._local_cycles = system._access_cycles[Supplier.L1_LOCAL]
-        self._local_hist = system._access_hist[Supplier.L1_LOCAL]
         # Core timing state (CoreModel.clock/instructions/stall_cycles/
         # memory_refs/_outstanding) hoisted into flat per-core lists for
         # the span of a fast phase; loaded from and resynchronized to
@@ -162,14 +157,10 @@ class VectorizedEngine(SimulationEngine):
             journal = MirrorJournal(ncores, system.ledger.total_tokens)
             self._journal = journal
         journal.install(system.l1s, system.ledger)
-        session: Optional[contention.ContentionSession] = None
-        if contention.kernels_enabled():
-            session = self._session
-            if session is None:
-                session = contention.ContentionSession(system)
-                self._session = session
-            session.install()
-        self._session_active = session
+        session = self._session
+        if session is None:
+            session = self._session = contention.ContentionSession(system)
+        session.install()
         # Load core timing state into the flat per-phase lists; the
         # ``finally`` below writes them back so the CoreModel objects
         # are authoritative again whenever observers can look (between
@@ -214,11 +205,10 @@ class VectorizedEngine(SimulationEngine):
             handle_miss = self._handle_miss
             handle_upgrade = self._handle_upgrade
             dirty_set = journal.dirty   # mutated in place, never rebound
-            if session is not None:
-                sup_rec = session.sup_rec
-                rec_local = session.sup_rec_local
-                hits_c = session.l1_hits
-                misses_c = session.l1_misses
+            sup_rec = session.sup_rec
+            rec_local = session.sup_rec_local
+            hits_c = session.l1_hits
+            misses_c = session.l1_misses
             while True:
                 for cid in need:
                     self._classify_and_scout(cid)
@@ -253,16 +243,6 @@ class VectorizedEngine(SimulationEngine):
                     self._commit_full(owner)
                 vers[owner] += 1
                 if pos[owner] >= limits[owner]:
-                    continue
-                if session is None:
-                    # Reference-granularity serve, one per pop
-                    # (REPRO_CONTENTION_KERNELS=0).
-                    self._serve(owner)
-                    if pos[owner] < limits[owner]:
-                        need.append(owner)
-                    dirty = journal.dirty
-                    if dirty:
-                        self._requeue_dirty(dirty, owner, vers, need)
                     continue
                 parked = False
                 # Serve burst: the freshly popped owner is the global
@@ -462,9 +442,7 @@ class VectorizedEngine(SimulationEngine):
                 if dirty_set:
                     self._requeue_dirty(dirty_set, owner, vers, need)
         finally:
-            self._session_active = None
-            if session is not None:
-                session.uninstall()  # flushes deferred stats first
+            session.uninstall()  # flushes deferred stats first
             journal.uninstall(system.l1s, system.ledger)
             for cid in range(ncores):
                 c = cores[cid]
@@ -783,50 +761,10 @@ class VectorizedEngine(SimulationEngine):
         finalize snapshots need no special handling.
         """
         lat = self._l1_lat
-        session = self._session_active
-        if session is not None:
-            session.l1_hits[cid] += n
-            rec = session.sup_rec_local
-            rec[0] += n
-            rec[1] += n * lat
-            rec[2 + self._l1_bucket] += n
-        else:
-            l1._hits.value += n
-            self._local_count.value += n
-            self._local_cycles.value += n * lat
-            hist = self._local_hist
-            hist.buckets[self._l1_bucket] += n
-            hist.count += n
-            hist.total += n * lat
+        session = self._session
+        session.l1_hits[cid] += n
+        rec = session.sup_rec_local
+        rec[0] += n
+        rec[1] += n * lat
+        rec[2 + self._l1_bucket] += n
         self._pos[cid] = new_pos
-
-    # -- serving contention points -------------------------------------------
-
-    def _serve(self, cid: int) -> None:
-        """One reference at reference granularity: ``CoreModel``
-        methods and the unmodified ``CmpSystem.access``, exactly as
-        under the reference engine. Used when contention kernels are
-        disabled (``REPRO_CONTENTION_KERNELS=0``); with kernels on,
-        serves happen inline in the epoch loop's burst."""
-        core = self.cores[cid]
-        # Rehydrate the live CoreModel from the phase-flat lists around
-        # the reference-granularity call (the fast phase keeps core
-        # timing state in the lists; CoreModel methods read/write the
-        # object attributes).
-        core.clock = self._clock_v[cid]
-        core.instructions = self._instr_v[cid]
-        core.stall_cycles = self._stall_v[cid]
-        core.memory_refs = self._mem_v[cid]
-        core._outstanding = self._out_v[cid]
-        i = self._pos[cid]
-        trace = self._soa[cid]
-        core.advance_gap(trace.gaps[i])
-        outcome = self.system.access(cid, trace.blocks[i], trace.writes[i],
-                                     core.issue_time())
-        core.complete_memory(trace.items[i].kind, outcome.complete)
-        self._pos[cid] = i + 1
-        self._clock_v[cid] = core.clock
-        self._instr_v[cid] = core.instructions
-        self._stall_v[cid] = core.stall_cycles
-        self._mem_v[cid] = core.memory_refs
-        self._out_v[cid] = core._outstanding

@@ -5,14 +5,14 @@ scalar timing methods (``Network.arrival``, ``MemoryController.service``
 / ``post_writeback``, ``NucaArchitecture.bank_service``) with deferred
 kernels for the span of one fast phase. These tests pin the session
 mechanics directly — the end-to-end guarantee (full simulations byte-
-identical in both kernel modes) lives in test_engine_equivalence.py.
+identical to the reference engine) lives in test_engine_equivalence.py.
 """
 
 from __future__ import annotations
 
 from repro.noc.message import MessageKind
 from repro.sim.request import Supplier
-from repro.sim.vector.contention import ContentionSession, kernels_enabled
+from repro.sim.vector.contention import ContentionSession
 
 from tests.util import build
 
@@ -51,18 +51,6 @@ def drive(system, session):
     if session is not None:
         session.uninstall()  # flushes the deferred statistics
     return times
-
-
-class TestKnob:
-    def test_default_and_explicit_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CONTENTION_KERNELS", raising=False)
-        assert kernels_enabled()
-        for raw, expect in [("", True), ("1", True), ("yes", True),
-                            ("on", True), ("banana", True),
-                            ("0", False), ("false", False), ("no", False),
-                            ("off", False), (" 0 ", False), ("FALSE", False)]:
-            monkeypatch.setenv("REPRO_CONTENTION_KERNELS", raw)
-            assert kernels_enabled() is expect, raw
 
 
 class TestInstallUninstall:

@@ -22,6 +22,8 @@ import glob
 import hashlib
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -30,8 +32,7 @@ from repro.common.config import scaled_config
 from repro.harness.cli import main as cli_main
 from repro.harness.executor import Executor, RunPoint, simulate_point
 from repro.harness.fabric import (RemoteJobError, WorkerCrashError,
-                                  WorkerPool, default_workers, mp_context,
-                                  run_point_batch)
+                                  WorkerPool, mp_context, run_point_batch)
 from repro.harness.runcache import (DEFAULT_SHARDS, MAX_SHARDS, RunCache,
                                     cache_generation, cache_key,
                                     default_shards, shard_chars, shard_name,
@@ -215,33 +216,44 @@ class TestWorkerPool:
 
 
 class TestDefaultWorkers:
-    """Satellite: REPRO_WORKERS through the same env_int validation as
-    REPRO_JOBS."""
+    """``gateway serve`` sizes its fabric from ``--workers``, else from
+    the executor's ``REPRO_JOBS`` / CPU-count default."""
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
-
-    def test_malformed_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_WORKERS.*integer"):
-            default_workers()
-
-    def test_zero_and_negative_rejected(self, monkeypatch):
-        for bad in ("0", "-2"):
-            monkeypatch.setenv("REPRO_WORKERS", bad)
-            with pytest.raises(ValueError, match="REPRO_WORKERS.*>= 1"):
-                default_workers()
-
-    def test_falls_back_to_jobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert default_workers() == 5
+    def test_falls_back_to_jobs(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, REPRO_JOBS="3", PYTHONPATH=src,
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", "gateway", "serve",
+             "--db", str(tmp_path / "gw.sqlite"), "--http", "127.0.0.1:0",
+             "--allow-anonymous"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True)
+        try:
+            line = proc.stdout.readline()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate()
+        assert "listening on" in line
+        assert "3 simulation process(es)" in line
+        assert proc.returncode == 0
 
     def test_serve_workers_zero_is_a_clear_error(self, capsys):
-        assert cli_main(["serve", "--workers", "0"]) == 2
+        assert cli_main(["gateway", "serve", "--workers", "0"]) == 2
         err = capsys.readouterr().err
         assert "--workers must be >= 1" in err
+
+    def test_malformed_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "many")
+        assert cli_main(["gateway", "serve"]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_JOBS must be an integer" in err
+
+    def test_zero_and_negative_rejected(self, monkeypatch, capsys):
+        for bad in ("0", "-2"):
+            monkeypatch.setenv("REPRO_JOBS", bad)
+            assert cli_main(["gateway", "serve"]) == 2
+            assert "REPRO_JOBS must be >= 1" in capsys.readouterr().err
 
 
 # -- the shard map ------------------------------------------------------------

@@ -14,7 +14,9 @@ The acceptance contract pinned here:
   the run cache backstops them;
 * the route table and the served OpenAPI document stay in sync;
 * malformed or oversized HTTP input gets a typed 4xx and never kills
-  the daemon.
+  the gateway;
+* ``esp-nuca submit`` prints results, progress and typed errors from a
+  live gateway, with the exit codes scripts rely on.
 """
 
 import json
@@ -636,3 +638,77 @@ class TestHttpHardening:
                 self._still_serving(handle)
         finally:
             gate.set()
+
+
+# -- esp-nuca submit, end to end ----------------------------------------------
+
+class TestSubmitCli:
+    """``esp-nuca submit`` against a live gateway: the CLI is a thin
+    :class:`GatewayClient` front end, so these pin its output and exit
+    codes rather than the gateway's behaviour."""
+
+    GRID = ["--arch", "shared,esp-nuca", "--workload", "apache",
+            "--seeds", "1", "--refs", str(QUICK.refs_per_core),
+            "--warmup", str(QUICK.warmup_refs_per_core),
+            "--scale", str(QUICK.capacity_factor)]
+
+    def submit(self, handle, *extra):
+        from repro.harness.cli import main as cli_main
+
+        _, host, port = handle.address
+        return cli_main(["submit", "--http", f"{host}:{port}",
+                         *self.GRID, *extra])
+
+    def test_waiting_submit_prints_results(self, tmp_path, capsys):
+        with gateway(tmp_path / "s.sqlite", allow_anonymous=True) as handle:
+            assert self.submit(handle) == 0
+        out = capsys.readouterr().out
+        assert "job g1: done, 2 result(s) (0 from cache" in out
+        assert "  shared on apache (seed " in out
+        assert "  esp-nuca on apache (seed " in out
+
+    def test_json_equals_direct_uncached_run(self, tmp_path, capsys):
+        from repro.common.rng import perturbed_seeds
+
+        with gateway(tmp_path / "s.sqlite", allow_anonymous=True) as handle:
+            assert self.submit(handle, "--json", "-") == 0
+        served = json.loads(capsys.readouterr().out)
+        seeds = perturbed_seeds(QUICK.base_seed, 1)
+        assert [canonical(p) for p in served] == [
+            canonical(p) for p in reference_payloads(
+                ["shared", "esp-nuca"], ["apache"], seeds)]
+
+    def test_watch_prints_progress_then_results(self, tmp_path, capsys):
+        with gateway(tmp_path / "s.sqlite", allow_anonymous=True) as handle:
+            assert self.submit(handle, "--watch") == 0
+        lines = capsys.readouterr().out.splitlines()
+        progress = [i for i, line in enumerate(lines)
+                    if line.startswith("[g1] ")]
+        summary = lines.index(next(line for line in lines
+                                   if line.startswith("job g1: done")))
+        assert progress and max(progress) < summary
+        assert "point(s) done" in lines[progress[0]]
+
+    def test_no_wait_prints_the_job_id(self, tmp_path, capsys):
+        with gateway(tmp_path / "s.sqlite", allow_anonymous=True) as handle:
+            assert self.submit(handle, "--no-wait") == 0
+            out = capsys.readouterr().out
+            assert out.startswith("job g1: ")
+            with GatewayClient(handle.base_url) as client:
+                assert client.wait("g1")["state"] == "done"
+
+    def test_bad_api_key_is_a_typed_error(self, tmp_path, capsys):
+        with gateway(tmp_path / "s.sqlite") as handle:
+            assert self.submit(handle, "--api-key", "esp_nope") == 1
+        err = capsys.readouterr().err
+        assert "HTTP 403 [auth-invalid]" in err
+
+    def test_unreachable_gateway_exits_1(self, capsys):
+        from repro.harness.cli import main as cli_main
+
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert cli_main(["submit", "--http", f"127.0.0.1:{port}",
+                         *self.GRID]) == 1
+        assert "cannot reach gateway" in capsys.readouterr().err

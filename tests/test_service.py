@@ -1,5 +1,8 @@
-"""Simulation service: protocol, coalescing, backpressure, streaming,
-drain — integration-tested against real (tiny-fidelity) simulations.
+"""The service core behind the gateway: validation, scheduling,
+coalescing, backpressure, streaming, tracing, drain — integration-tested
+through :class:`~repro.gateway.GatewayThread` and
+:class:`~repro.gateway.GatewayClient` against real (tiny-fidelity)
+simulations.
 
 The acceptance contract pinned here:
 
@@ -10,26 +13,28 @@ The acceptance contract pinned here:
 * a full queue rejects with the typed ``queue-full`` error instead of
   blocking;
 * repeat submissions are answered from the persistent run cache without
-  touching a worker;
-* ``drain`` completes with zero orphaned workers (asyncio tasks *and*
-  OS threads).
+  touching a worker, also across a restart;
+* a drain completes with zero orphaned workers (asyncio tasks, OS
+  threads and fabric processes) and every result in the run cache;
+* one traced job at a time exports a valid Chrome trace.
 """
 
 import json
 import os
-import shutil
 import signal
-import time
-import tempfile
+import socket
 import threading
+import time
 
 import pytest
 
+from repro.gateway import http as ghttp
+from repro.gateway import (GatewayClient, GatewayConfig, GatewayError,
+                           GatewayThread, JobStore, payloads_to_results)
 from repro.harness.executor import Executor
 from repro.harness.runcache import RunCache
 from repro.harness.runner import RunSettings, grid_points
-from repro.service import (QueueFullError, ServiceClient, ServiceConfig,
-                           ServiceError, ServiceThread, payloads_to_results)
+from repro.service import QueueFullError
 from repro.service import protocol as proto
 
 QUICK = RunSettings(capacity_factor=8, refs_per_core=400,
@@ -99,68 +104,110 @@ class GatedFabricExecutor(Executor):
             return self._pool
 
 
-@pytest.fixture
-def sock_dir():
-    """A short-lived directory with a short path (unix socket paths are
-    length-limited; pytest's tmp_path can exceed it)."""
-    path = tempfile.mkdtemp(prefix="espsvc-")
-    yield path
-    shutil.rmtree(path, ignore_errors=True)
-
-
-def service(sock_dir, executor, cache_dir=None, **config):
+def service(tmp_path, executor=None, cache_dir=None, db="gw.sqlite",
+            **config):
+    """A gateway on a background loop; anonymous requests allowed
+    unless the caller says otherwise."""
     if executor is None:
-        cache = (RunCache(root=cache_dir) if cache_dir
+        cache = (RunCache(root=str(cache_dir)) if cache_dir
                  else RunCache(enabled=False))
         executor = CountingExecutor(jobs=1, cache=cache)
-    config.setdefault("bind", ("unix", f"{sock_dir}/svc.sock"))
-    return ServiceThread(ServiceConfig(**config), executor=executor,
+    config.setdefault("bind", ("tcp", "127.0.0.1", 0))
+    config.setdefault("db_path", str(tmp_path / db))
+    config.setdefault("allow_anonymous", True)
+    return GatewayThread(GatewayConfig(**config), executor=executor,
                          settings=QUICK)
 
 
-def connect(handle):
-    address = handle.address
-    spec = (f"unix:{address[1]}" if address[0] == "unix"
-            else f"{address[1]}:{address[2]}")
-    return ServiceClient.connect(spec, timeout=CLIENT_TIMEOUT)
+def connect(handle, api_key=None):
+    return GatewayClient(handle.base_url, api_key=api_key,
+                         timeout=CLIENT_TIMEOUT)
+
+
+def follow(client, reply):
+    """The admission reply merged with the job's ``end`` event."""
+    end = list(client.events(reply["job"]))[-1]
+    assert end["event"] == "end"
+    return dict(reply, **end)
+
+
+def run_grid(client, archs, workloads, seeds, **kwargs):
+    """Submit a grid and wait for its end event."""
+    reply = client.submit(archs, workloads, seeds=seeds,
+                          settings=SETTINGS_WIRE, **kwargs)
+    return follow(client, reply)
+
+
+def wait_until(predicate, message, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while True:
+        value = predicate()
+        if value:
+            return value
+        assert time.monotonic() < deadline, f"{message} within {timeout}s"
+        time.sleep(0.02)
 
 
 def canonical(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def reference_payloads(archs, workloads, seeds):
-    """Direct serial executor run of the same grid, no caches."""
+def quick_points(archs, workloads, seeds):
     from repro.common.config import scaled_config
 
+    return grid_points(scaled_config(QUICK.capacity_factor), QUICK,
+                       archs, workloads, seeds)
+
+
+def reference_payloads(archs, workloads, seeds):
+    """Direct serial executor run of the same grid, no caches."""
     executor = Executor(jobs=1, cache=RunCache(enabled=False))
-    points = grid_points(scaled_config(QUICK.capacity_factor), QUICK,
-                         archs, workloads, seeds)
-    return [r.to_dict() for r in executor.run(points)]
+    return [r.to_dict() for r in executor.run(
+        quick_points(archs, workloads, seeds))]
 
 
-# -- protocol unit tests ------------------------------------------------------
+def raw_request(handle, payload):
+    """Send raw bytes to the gateway; returns ``(status line, body)``."""
+    _, host, port = handle.address
+    with socket.create_connection((host, port),
+                                  timeout=CLIENT_TIMEOUT) as sock:
+        sock.sendall(payload)
+        stream = sock.makefile("rb")
+        status = stream.readline().decode()
+        length = 0
+        for line in iter(stream.readline, b"\r\n"):
+            name, _, value = line.decode().partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        return status, json.loads(stream.read(length))
+
+
+# -- request validation -------------------------------------------------------
 
 class TestProtocol:
-    def test_encode_decode_round_trip(self):
-        message = {"cmd": "submit", "architectures": ["esp-nuca"],
-                   "priority": 3}
-        assert proto.decode(proto.encode(message).strip()) == message
+    def test_decode_rejects_non_object(self, tmp_path):
+        with service(tmp_path) as handle:
+            for body in (b"[1, 2, 3]", b'"a string"'):
+                status, obj = raw_request(
+                    handle, b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+                assert " 400 " in status
+                assert obj["error"]["code"] == "bad-json"
 
-    def test_decode_rejects_non_object(self):
-        with pytest.raises(proto.ProtocolError):
-            proto.decode(b"[1, 2, 3]")
-        with pytest.raises(proto.ProtocolError):
-            proto.decode(b"not json at all")
-
-    def test_unknown_command_rejected(self):
-        with pytest.raises(proto.ProtocolError, match="unknown cmd"):
-            proto.validate_request({"cmd": "reboot"})
-
-    def test_newer_protocol_version_rejected(self):
-        with pytest.raises(proto.ProtocolError, match="version"):
-            proto.validate_request(
-                {"cmd": "ping", "version": proto.PROTOCOL_VERSION + 1})
+    def test_unknown_command_rejected(self, tmp_path):
+        """A job's sub-routes are its commands: an unknown one is a
+        typed 404, a known one with the wrong method a typed 405."""
+        with service(tmp_path) as handle:
+            with connect(handle) as client:
+                job = run_grid(client, ["shared"], ["apache"], [3])["job"]
+                with pytest.raises(GatewayError) as exc:
+                    client.request("GET", f"/v1/jobs/{job}/reboot")
+                assert (exc.value.status, exc.value.code) == \
+                    (404, "not-found")
+                with pytest.raises(GatewayError) as exc:
+                    client.request("POST", f"/v1/jobs/{job}/results", {})
+                assert (exc.value.status, exc.value.code) == \
+                    (405, "method-not-allowed")
 
     def test_check_int_rejects_bool_and_below_minimum(self):
         with pytest.raises(proto.ProtocolError):
@@ -185,11 +232,8 @@ class TestProtocol:
 
 class TestScheduler:
     def _points(self, n):
-        from repro.common.config import scaled_config
-
-        config = scaled_config(QUICK.capacity_factor)
-        return [(p.key, p) for p in grid_points(
-            config, QUICK, ARCHS, WORKLOADS, range(n))][:n]
+        return [(p.key, p) for p in quick_points(
+            ARCHS, WORKLOADS, range(n))][:n]
 
     def test_admission_is_all_or_nothing(self):
         import asyncio
@@ -250,7 +294,7 @@ class TestScheduler:
 # -- integration: concurrent clients ------------------------------------------
 
 class TestConcurrentClients:
-    def test_overlapping_grids_byte_identical_and_coalesced(self, sock_dir):
+    def test_overlapping_grids_byte_identical_and_coalesced(self, tmp_path):
         """N=8 concurrent clients, overlapping grids, gate held so every
         duplicate is genuinely in-flight when it coalesces."""
         gate = threading.Event()
@@ -261,38 +305,33 @@ class TestConcurrentClients:
         requested = sum(len(a) * len(w) * len(SEEDS) for a, w in grids)
         collected = [None] * len(grids)
 
-        with service(sock_dir, executor, workers=2, batch=4,
-                     queue_limit=64) as handle:
-            def run_client(i, archs, workloads):
-                with connect(handle) as client:
-                    reply = client.submit(archs, workloads, seeds=SEEDS,
-                                          settings=SETTINGS_WIRE, wait=False)
-                    end = None
-                    for event in client.watch(reply["job"]):
-                        end = event
-                    assert end["event"] == "end" and end["state"] == "done"
-                    collected[i] = end["results"]
+        try:
+            with service(tmp_path, executor, workers=2, batch=4,
+                         queue_limit=64) as handle:
+                def run_client(i, archs, workloads):
+                    with connect(handle) as client:
+                        end = run_grid(client, archs, workloads, SEEDS)
+                        assert end["state"] == "done"
+                        collected[i] = end["results"]
 
-            threads = [threading.Thread(target=run_client, args=(i, a, w))
-                       for i, (a, w) in enumerate(grids)]
-            for thread in threads:
-                thread.start()
-            # Everything submitted before any simulation completes.
-            with connect(handle) as admin:
-                deadline = 60
-                while True:
-                    status = admin.status()
-                    pts = status["points"]
-                    if pts["requested"] >= requested:
-                        break
-                    deadline -= 1
-                    assert deadline > 0, f"submissions missing: {pts}"
-                    time.sleep(0.05)
-                assert pts["coalesced"] > 0
+                threads = [threading.Thread(target=run_client,
+                                            args=(i, a, w))
+                           for i, (a, w) in enumerate(grids)]
+                for thread in threads:
+                    thread.start()
+                # Everything submitted before any simulation completes.
+                with connect(handle) as admin:
+                    pts = wait_until(
+                        lambda: (lambda p: p if p["requested"] >= requested
+                                 else None)(admin.status()["points"]),
+                        "all submissions admitted")
+                    assert pts["coalesced"] > 0
+                gate.set()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+        finally:
             gate.set()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
 
         # Coalescing: the executor saw each unique point once.
         unique = len({(a, w, s) for archs, wls in grids
@@ -306,14 +345,11 @@ class TestConcurrentClients:
             assert [canonical(r) for r in results] == \
                 [canonical(r) for r in reference]
 
-    def test_tcp_transport(self, sock_dir):
-        executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False))
-        with service(sock_dir, executor,
-                     bind=("tcp", "127.0.0.1", 0)) as handle:
+    def test_tcp_transport(self, tmp_path):
+        with service(tmp_path) as handle:
             with connect(handle) as client:
-                assert client.ping()["pong"] is True
-                reply = client.submit(["shared"], ["apache"], seeds=[7],
-                                      settings=SETTINGS_WIRE, wait=True)
+                assert client.health()["ok"] is True
+                reply = run_grid(client, ["shared"], ["apache"], [7])
                 assert reply["state"] == "done"
                 result = payloads_to_results(reply["results"])[0]
                 assert result.architecture == "shared"
@@ -323,37 +359,38 @@ class TestConcurrentClients:
 # -- integration: cache fast path ---------------------------------------------
 
 class TestCacheFastPath:
-    def test_repeat_submission_never_reaches_a_worker(self, sock_dir):
-        cache_dir = f"{sock_dir}/cache"
-        executor = CountingExecutor(jobs=1, cache=RunCache(root=cache_dir))
-        with service(sock_dir, executor) as handle:
+    def test_repeat_submission_never_reaches_a_worker(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        executor = CountingExecutor(jobs=1,
+                                    cache=RunCache(root=str(cache_dir)))
+        with service(tmp_path, executor) as handle:
             with connect(handle) as client:
-                first = client.submit(["shared", "esp-nuca"], ["apache"],
-                                      seeds=SEEDS, settings=SETTINGS_WIRE,
-                                      wait=True)
+                first = run_grid(client, ["shared", "esp-nuca"], ["apache"],
+                                 SEEDS)
                 assert first["state"] == "done"
                 executed = executor.points_seen
                 assert executed == 4
+                # Answered at admission: results ride the submit reply.
                 second = client.submit(["shared", "esp-nuca"], ["apache"],
-                                       seeds=SEEDS, settings=SETTINGS_WIRE,
-                                       wait=True)
+                                       seeds=SEEDS, settings=SETTINGS_WIRE)
                 assert second["state"] == "done"
                 assert second["cached"] == 4
                 assert executor.points_seen == executed  # no worker touched
+                assert client.status()["points"]["executed"] == executed
                 assert [canonical(r) for r in second["results"]] == \
                     [canonical(r) for r in first["results"]]
 
-    def test_cache_survives_service_restart(self, sock_dir):
-        cache_dir = f"{sock_dir}/cache"
-        with service(sock_dir, None, cache_dir=cache_dir) as handle:
+    def test_cache_survives_service_restart(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with service(tmp_path, cache_dir=cache_dir, db="a.sqlite") as handle:
             with connect(handle) as client:
-                first = client.submit(["shared"], ["apache"], seeds=[7],
-                                      settings=SETTINGS_WIRE, wait=True)
-        executor = CountingExecutor(jobs=1, cache=RunCache(root=cache_dir))
-        with service(sock_dir, executor) as handle:
+                first = run_grid(client, ["shared"], ["apache"], [7])
+        executor = CountingExecutor(jobs=1,
+                                    cache=RunCache(root=str(cache_dir)))
+        with service(tmp_path, executor, db="b.sqlite") as handle:
             with connect(handle) as client:
                 again = client.submit(["shared"], ["apache"], seeds=[7],
-                                      settings=SETTINGS_WIRE, wait=True)
+                                      settings=SETTINGS_WIRE)
                 assert again["cached"] == 1
                 assert executor.calls == 0
                 assert canonical(again["results"][0]) == \
@@ -363,95 +400,101 @@ class TestCacheFastPath:
 # -- integration: backpressure and limits -------------------------------------
 
 class TestBackpressure:
-    def test_full_queue_rejects_with_typed_error(self, sock_dir):
+    def test_full_queue_rejects_with_typed_error(self, tmp_path):
         gate = threading.Event()
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False),
                                     gate=gate)
         try:
-            with service(sock_dir, executor, workers=1, batch=1,
+            with service(tmp_path, executor, workers=1, batch=1,
                          queue_limit=2) as handle:
                 with connect(handle) as client:
                     blocker = client.submit(["shared"], ["apache"],
-                                            seeds=[1], wait=False,
+                                            seeds=[1],
                                             settings=SETTINGS_WIRE)
                     # Wait until the blocker occupies the worker, so the
                     # backlog below is exactly deterministic.
-                    deadline = 100
-                    while True:
-                        snap = client.status(blocker["job"])
-                        if snap["counts"]["running"] == 1:
-                            break
-                        deadline -= 1
-                        assert deadline > 0
-                        time.sleep(0.05)
-                    client.submit(["shared"], ["apache"], seeds=[2],
-                                  wait=False, settings=SETTINGS_WIRE)
-                    client.submit(["shared"], ["apache"], seeds=[3],
-                                  wait=False, settings=SETTINGS_WIRE)
-                    with pytest.raises(ServiceError) as exc:
+                    wait_until(lambda: client.job(blocker["job"])
+                               ["counts"]["running"] == 1,
+                               "blocker running")
+                    for seed in (2, 3):
+                        client.submit(["shared"], ["apache"], seeds=[seed],
+                                      settings=SETTINGS_WIRE)
+                    with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[4],
-                                      wait=False, settings=SETTINGS_WIRE)
-                    assert exc.value.code == "queue-full"
+                                      settings=SETTINGS_WIRE)
+                    assert (exc.value.status, exc.value.code) == \
+                        (503, "queue-full")
                     # The reject left the queue intact; coalescing onto
                     # queued work still succeeds (needs no new slot).
-                    joined = client.submit(["shared"], ["apache"], seeds=[3],
-                                           wait=False,
+                    joined = client.submit(["shared"], ["apache"],
+                                           seeds=[3],
                                            settings=SETTINGS_WIRE)
                     assert joined["coalesced"] == 1
                     gate.set()
         finally:
             gate.set()
 
-    def test_per_client_job_limit(self, sock_dir):
+    def test_per_client_job_limit(self, tmp_path):
+        """Each client (tenant) has its own unfinished-job allowance."""
+        db = tmp_path / "gw.sqlite"
+        with JobStore.open(str(db)) as store:
+            _, alice = store.add_tenant("alice", max_jobs=2)
+            _, bob = store.add_tenant("bob", max_jobs=2)
         gate = threading.Event()
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False),
                                     gate=gate)
         try:
-            with service(sock_dir, executor, workers=1, batch=1,
-                         client_jobs=2, queue_limit=64) as handle:
-                with connect(handle) as client:
+            with service(tmp_path, executor, workers=1, batch=1,
+                         allow_anonymous=False) as handle:
+                with connect(handle, api_key=alice) as client:
                     for seed in (1, 2):
                         client.submit(["shared"], ["apache"], seeds=[seed],
-                                      wait=False, settings=SETTINGS_WIRE)
-                    with pytest.raises(ServiceError) as exc:
+                                      settings=SETTINGS_WIRE)
+                    with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[3],
-                                      wait=False, settings=SETTINGS_WIRE)
-                    assert exc.value.code == "client-limit"
-                    # A second connection has its own allowance.
-                    with connect(handle) as other:
-                        other.submit(["shared"], ["apache"], seeds=[3],
-                                     wait=False, settings=SETTINGS_WIRE)
-                    gate.set()
+                                      settings=SETTINGS_WIRE)
+                    assert (exc.value.status, exc.value.code) == \
+                        (429, "quota-jobs")
+                with connect(handle, api_key=bob) as other:
+                    other.submit(["shared"], ["apache"], seeds=[3],
+                                 settings=SETTINGS_WIRE)
+                gate.set()
         finally:
             gate.set()
 
-    def test_bad_requests_are_typed(self, sock_dir):
-        with service(sock_dir, None) as handle:
+    def test_bad_requests_are_typed(self, tmp_path):
+        with service(tmp_path) as handle:
             with connect(handle) as client:
-                with pytest.raises(ServiceError) as exc:
+                with pytest.raises(GatewayError) as exc:
                     client.submit(["no-such-arch"], ["apache"], seeds=[1])
+                assert (exc.value.status, exc.value.code) == \
+                    (400, "bad-request")
+                with pytest.raises(GatewayError) as exc:
+                    client.job("g999")
+                assert (exc.value.status, exc.value.code) == \
+                    (404, "unknown-job")
+                with pytest.raises(GatewayError) as exc:
+                    client.request("POST", "/v1/jobs", {
+                        "architectures": ["shared"],
+                        "workloads": ["apache"],
+                        "settings": {"bogus_knob": 3}})
                 assert exc.value.code == "bad-request"
-                with pytest.raises(ServiceError) as exc:
-                    client.status(job="j999")
-                assert exc.value.code == "unknown-job"
-                with pytest.raises(ServiceError) as exc:
-                    client.request({"cmd": "submit",
-                                    "architectures": ["shared"],
-                                    "workloads": ["apache"],
-                                    "settings": {"bogus_knob": 3}})
+                with pytest.raises(GatewayError) as exc:
+                    client.request("POST", "/v1/jobs", {
+                        "architectures": ["shared"],
+                        "workloads": ["apache"], "trace": "yes"})
                 assert exc.value.code == "bad-request"
 
 
 # -- integration: watch, cancel, drain ----------------------------------------
 
 class TestLifecycle:
-    def test_watch_streams_progress_then_results(self, sock_dir):
-        with service(sock_dir, None) as handle:
+    def test_watch_streams_progress_then_results(self, tmp_path):
+        with service(tmp_path) as handle:
             with connect(handle) as client:
                 reply = client.submit(["shared", "private"], ["apache"],
-                                      seeds=[7], settings=SETTINGS_WIRE,
-                                      wait=False)
-                events = list(client.watch(reply["job"]))
+                                      seeds=[7], settings=SETTINGS_WIRE)
+                events = list(client.events(reply["job"]))
         assert events[-1]["event"] == "end"
         assert all(e["event"] == "progress" for e in events[:-1])
         done_counts = [e["counts"]["done"] for e in events[:-1]]
@@ -463,49 +506,54 @@ class TestLifecycle:
             assert payload["stats"].get("l2")
             assert payload["stats"].get("noc")
 
-    def test_cancel_drops_queued_points(self, sock_dir):
+    def test_cancel_drops_queued_points(self, tmp_path):
         gate = threading.Event()
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False),
                                     gate=gate)
         try:
-            with service(sock_dir, executor, workers=1, batch=1,
+            with service(tmp_path, executor, workers=1, batch=1,
                          queue_limit=64) as handle:
                 with connect(handle) as client:
                     blocker = client.submit(["shared"], ["apache"],
-                                            seeds=[1], wait=False,
+                                            seeds=[1],
                                             settings=SETTINGS_WIRE)
                     victim = client.submit(["private"], ["apache"],
-                                           seeds=[2], wait=False,
+                                           seeds=[2],
                                            settings=SETTINGS_WIRE)
                     cancelled = client.cancel(victim["job"])
                     assert cancelled["state"] == "cancelled"
                     gate.set()
-                    end = list(client.watch(blocker["job"]))[-1]
-                    assert end["state"] == "done"
-                    drained = client.drain()
+                    assert follow(client, blocker)["state"] == "done"
+                drained = handle.drain()
             assert drained["workers_alive"] == 0
             # The cancelled point never ran.
             assert ("private", "apache", 2) not in executor.point_log
         finally:
             gate.set()
 
-    def test_drain_completes_with_zero_orphaned_workers(self, sock_dir):
-        executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False))
-        with service(sock_dir, executor, workers=3) as handle:
+    def test_drain_completes_with_zero_orphaned_workers(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        executor = CountingExecutor(jobs=1, cache=RunCache(root=cache_dir))
+        with service(tmp_path, executor, workers=3) as handle:
             with connect(handle) as client:
-                client.submit(["shared"], ["apache"], seeds=[5],
-                              wait=True, settings=SETTINGS_WIRE)
-                drained = client.drain()
-            assert drained["drained"] is True
-            assert drained["workers_alive"] == 0
-            assert drained["executed_points"] == 1
-            assert "cache" in drained
+                client.submit(["shared", "private"], ["apache"], seeds=[5],
+                              settings=SETTINGS_WIRE)
+            drained = handle.drain()
+        assert drained["drained"] is True
+        assert drained["workers_alive"] == 0
+        assert drained["executed_points"] == 2
+        assert "cache" in drained
+        assert drained["store"] == {"done": 1}
+        # The drain waited for the job: every result is in the run cache.
+        cache = RunCache(root=cache_dir)
+        for point in quick_points(["shared", "private"], ["apache"], [5]):
+            assert cache.get(point.key) is not None, point.name
         # No simulation threads survive the drain.
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("esp-nuca-sim")]
 
     def test_worker_crash_mid_batch_requeued_once_and_drains(
-            self, sock_dir, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch):
         """Kill a simulation worker process mid-batch: the fabric
         requeues its job exactly once, the job completes on a
         surviving/replacement worker with correct results, and the
@@ -518,34 +566,26 @@ class TestLifecycle:
             return sorted(name for name in os.listdir(gate_dir)
                           if name.startswith("started-"))
 
-        def wait_for(count, timeout=60):
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                if len(markers()) >= count:
-                    return True
-                time.sleep(0.02)
-            return False
-
         executor = GatedFabricExecutor(jobs=2, cache=RunCache(enabled=False))
-        with service(sock_dir, executor, workers=1, batch=4) as handle:
+        with service(tmp_path, executor, workers=1, batch=4) as handle:
             with connect(handle) as client:
-                job = client.submit(["shared", "private"], ["apache"],
-                                    seeds=[7], wait=False,
-                                    settings=SETTINGS_WIRE)["job"]
+                reply = client.submit(["shared", "private"], ["apache"],
+                                      seeds=[7], settings=SETTINGS_WIRE)
                 # two points -> two fabric jobs, one per worker process
-                assert wait_for(2), "both workers should start a job"
+                wait_until(lambda: len(markers()) >= 2,
+                           "both workers starting a job")
                 pids = {int(name.split("-")[1]) for name in markers()}
                 assert len(pids) == 2
                 status = client.status()
                 assert status["procs"] == 2
                 assert status["procs_busy"] == 2
-                victim = min(pids)
-                os.kill(victim, signal.SIGKILL)
-                assert wait_for(3), "crashed job should restart"
+                os.kill(min(pids), signal.SIGKILL)
+                wait_until(lambda: len(markers()) >= 3,
+                           "the crashed job restarting")
                 with open(os.path.join(gate_dir, "release"), "w",
                           encoding="utf-8"):
                     pass
-                end = list(client.watch(job))[-1]
+                end = follow(client, reply)
                 assert end["state"] == "done"
                 # byte-identical to a direct serial run despite the crash
                 assert ([canonical(p) for p in end["results"]]
@@ -554,38 +594,35 @@ class TestLifecycle:
                 stats = executor.fabric_stats()
                 assert stats["requeued"] == 1
                 assert stats["crashed"] == 1
-                drained = client.drain()
-            assert drained["workers_alive"] == 0
-        # the drain barrier tore the fabric down with the daemon
+            drained = handle.drain()
+        assert drained["workers_alive"] == 0
+        # the drain barrier tore the fabric down with the gateway
         assert executor.fabric_stats() is None
 
-    def test_submissions_while_draining_get_typed_error(self, sock_dir):
+    def test_submissions_while_draining_get_typed_error(self, tmp_path):
         gate = threading.Event()
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False),
                                     gate=gate)
         try:
-            with service(sock_dir, executor, workers=1, batch=1) as handle:
+            with service(tmp_path, executor, workers=1, batch=1) as handle:
                 with connect(handle) as client:
                     client.submit(["shared"], ["apache"], seeds=[1],
-                                  wait=False, settings=SETTINGS_WIRE)
-                    drain_reply = {}
-                    drainer = connect(handle)
-                    thread = threading.Thread(
-                        target=lambda: drain_reply.update(drainer.drain()))
-                    thread.start()
-                    deadline = 100
-                    while not client.ping()["draining"]:
-                        deadline -= 1
-                        assert deadline > 0
-                        time.sleep(0.05)
-                    with pytest.raises(ServiceError) as exc:
+                                  settings=SETTINGS_WIRE)
+                    summary = {}
+                    drainer = threading.Thread(
+                        target=lambda: summary.update(handle.drain()))
+                    drainer.start()
+                    wait_until(lambda: client.health()["draining"],
+                               "drain started")
+                    with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[9],
-                                      wait=False, settings=SETTINGS_WIRE)
-                    assert exc.value.code == "draining"
+                                      settings=SETTINGS_WIRE)
+                    assert (exc.value.status, exc.value.code) == \
+                        (503, "draining")
                     gate.set()
-                    thread.join(timeout=60)
-                    drainer.close()
-                    assert drain_reply.get("drained") is True
+                    drainer.join(timeout=120)
+                    assert not drainer.is_alive()
+                    assert summary.get("drained") is True
         finally:
             gate.set()
 
@@ -593,12 +630,11 @@ class TestLifecycle:
 # -- event tracing + live gauges ----------------------------------------------
 
 class TestTracingAndGauges:
-    def test_snapshots_carry_queue_and_worker_gauges(self, sock_dir):
-        with service(sock_dir, None, workers=1, batch=1) as handle:
+    def test_snapshots_carry_queue_and_worker_gauges(self, tmp_path):
+        with service(tmp_path, workers=1, batch=1) as handle:
             with connect(handle) as client:
-                reply = client.submit(["shared"], ["apache"], seeds=[3],
-                                      wait=True, settings=SETTINGS_WIRE)
-                gauges = reply["gauges"]
+                job = run_grid(client, ["shared"], ["apache"], [3])["job"]
+                gauges = client.job(job)["gauges"]
                 assert set(gauges) >= {"queue_backlog", "queue_inflight",
                                        "queue_limit", "workers_busy",
                                        "workers", "procs_busy", "procs"}
@@ -612,36 +648,37 @@ class TestTracingAndGauges:
                 # jobs=1 is the serial fallback: the fabric never starts
                 assert status["fabric"] is None
 
-    def test_watch_stream_includes_gauges(self, sock_dir):
-        with service(sock_dir, None, workers=1, batch=1) as handle:
+    def test_watch_stream_includes_gauges(self, tmp_path):
+        with service(tmp_path, workers=1, batch=1) as handle:
             with connect(handle) as client:
                 job = client.submit(["shared"], ["apache"], seeds=[4],
-                                    wait=False,
                                     settings=SETTINGS_WIRE)["job"]
-                progress = [e for e in client.watch(job)
+                progress = [e for e in client.events(job)
                             if e.get("event") == "progress"]
                 assert progress
                 assert all("gauges" in e for e in progress)
 
-    def test_traced_submit_exports_valid_chrome_trace(self, sock_dir,
-                                                      tmp_path, monkeypatch):
+    def test_traced_submit_exports_valid_chrome_trace(self, tmp_path,
+                                                      monkeypatch):
         from repro.obs import trace as obs
         from repro.obs.export import (events_of_category, span_names,
                                       validate_chrome)
 
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-        with service(sock_dir, None, workers=1, batch=1) as handle:
+        with service(tmp_path, workers=1, batch=1) as handle:
             with connect(handle) as client:
-                reply = client.submit(["esp-nuca"], ["apache"], seeds=[5],
-                                      wait=True, trace=True,
-                                      settings=SETTINGS_WIRE)
+                reply = run_grid(client, ["esp-nuca"], ["apache"], [5],
+                                 trace=True)
                 assert reply["state"] == "done"
                 assert reply["trace"] is True
-                assert reply.get("trace_error") is None
                 path = reply["trace_path"]
+                snap = client.job(reply["job"])
+                assert snap["trace_path"] == path
+                assert snap.get("trace_error") is None
         # The tracer was uninstalled when the job finished.
         assert obs.active() is obs.NULL_TRACER
-        payload = json.loads(open(path).read())
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
         assert validate_chrome(payload) == []
         # Lifecycle spans + gauges counters on the service track.
         service_events = events_of_category(payload, "service")
@@ -654,120 +691,136 @@ class TestTracingAndGauges:
         assert any(name.startswith("run esp-nuca/")
                    for name in span_names(payload))
 
-    def test_one_traced_job_at_a_time(self, sock_dir, tmp_path, monkeypatch):
+    def test_one_traced_job_at_a_time(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
         gate = threading.Event()
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False),
                                     gate=gate)
         try:
-            with service(sock_dir, executor, workers=1, batch=1) as handle:
+            with service(tmp_path, executor, workers=1, batch=1) as handle:
                 with connect(handle) as client:
                     first = client.submit(["shared"], ["apache"], seeds=[6],
-                                          wait=False, trace=True,
-                                          settings=SETTINGS_WIRE)
-                    with pytest.raises(ServiceError) as exc:
+                                          settings=SETTINGS_WIRE,
+                                          trace=True)
+                    with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[8],
-                                      wait=False, trace=True,
-                                      settings=SETTINGS_WIRE)
-                    assert exc.value.code == "bad-request"
+                                      settings=SETTINGS_WIRE, trace=True)
+                    assert (exc.value.status, exc.value.code) == \
+                        (400, "bad-request")
+                    assert "one traced job at a time" in exc.value.detail
+                    # The reject created no stored job.
+                    assert len(client.jobs()) == 1
                     gate.set()
-                    end = list(client.watch(first["job"]))[-1]
-                    assert end["event"] == "end"
-                    assert end["trace_path"]
+                    assert follow(client, first)["trace_path"]
                     # The slot is free again for a new traced job.
-                    again = client.submit(["shared"], ["apache"], seeds=[9],
-                                          wait=True, trace=True,
-                                          settings=SETTINGS_WIRE)
+                    again = run_grid(client, ["shared"], ["apache"], [9],
+                                     trace=True)
                     assert again["trace_path"]
         finally:
             gate.set()
 
 
-# -- protocol hardening: hostile and broken clients ---------------------------
+# -- hostile and broken clients -----------------------------------------------
 
 class TestProtocolHardening:
-    """A hostile or broken client must get a typed error (where a reply
-    is still possible) and must never wedge a worker or kill the daemon:
-    every test ends by proving a fresh connection still does real work."""
+    """A hostile or broken client gets a typed error (where a reply is
+    still possible) and never wedges the core: every test ends by
+    proving the gateway still does real work."""
 
     def _raw_connect(self, handle):
-        import socket
+        _, host, port = handle.address
+        return socket.create_connection((host, port), timeout=CLIENT_TIMEOUT)
 
-        address = handle.address
-        if address[0] == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(address[1])
-        else:
-            sock = socket.create_connection((address[1], address[2]))
-        sock.settimeout(CLIENT_TIMEOUT)
-        return sock
+    def _read_response(self, stream):
+        status = stream.readline().decode()
+        length = 0
+        for line in iter(stream.readline, b"\r\n"):
+            assert line, "connection closed inside the headers"
+            name, _, value = line.decode().partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        return status, json.loads(stream.read(length))
 
     def _still_serving(self, handle):
         with connect(handle) as client:
-            assert client.ping()["pong"] is True
-            reply = client.submit(["shared"], ["apache"], seeds=[77],
-                                  wait=True, settings=SETTINGS_WIRE)
-            assert reply["state"] == "done"
+            assert run_grid(client, ["shared"], ["apache"],
+                            [77])["state"] == "done"
 
-    def test_malformed_json_line_gets_typed_error(self, sock_dir):
-        with service(sock_dir, None) as handle:
+    def test_malformed_json_line_gets_typed_error(self, tmp_path):
+        """Undecodable JSON and JSON the core refuses are both typed
+        400s, and the keep-alive connection resyncs after each."""
+        with service(tmp_path) as handle:
             sock = self._raw_connect(handle)
             try:
-                sock.sendall(b'{"cmd": "submit", not json}\n')
-                reply = json.loads(sock.makefile("rb").readline())
-                assert reply["ok"] is False
-                assert reply["error"]["code"] == "bad-request"
-            finally:
-                sock.close()
-            self._still_serving(handle)
-
-    def test_oversized_request_line_rejected_not_buffered(self, sock_dir):
-        with service(sock_dir, None) as handle:
-            sock = self._raw_connect(handle)
-            try:
-                # No newline anywhere: the server must give up once the
-                # line exceeds MAX_LINE_BYTES instead of buffering
-                # forever, reply with a typed error, and drop the
-                # connection.
-                blob = b" " * (proto.MAX_LINE_BYTES + 64)
-                sock.sendall(blob)
                 stream = sock.makefile("rb")
-                reply = json.loads(stream.readline())
-                assert reply["ok"] is False
-                assert reply["error"]["code"] == "bad-request"
-                assert "too long" in reply["error"]["message"]
-                assert stream.readline() == b""  # server closed it
+                for body, code in (
+                        (b'{"architectures": [shared], not json}',
+                         "bad-json"),
+                        (json.dumps({"architectures": ["shared"],
+                                     "workloads": ["apache"],
+                                     "seeds": [True]}).encode(),
+                         "bad-request")):
+                    sock.sendall(
+                        b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+                    status, obj = self._read_response(stream)
+                    assert " 400 " in status
+                    assert obj["error"]["code"] == code
+                sock.sendall(b"GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n")
+                status, obj = self._read_response(stream)
+                assert " 200 " in status
             finally:
                 sock.close()
             self._still_serving(handle)
 
-    def test_abrupt_disconnect_mid_watch_leaves_job_running(self, sock_dir):
+    def test_oversized_request_line_rejected_not_buffered(self, tmp_path):
+        """No newline anywhere: the gateway gives up once the stream
+        limit is exceeded instead of buffering forever, replies with a
+        typed 431 and drops the connection."""
+        with service(tmp_path) as handle:
+            sock = self._raw_connect(handle)
+            try:
+                # One byte over the limit: the reader fails only once
+                # every byte is in, so none is left unread to reset the
+                # connection before the reply arrives.
+                sock.sendall(b"G" * (ghttp.STREAM_LIMIT + 1))
+                stream = sock.makefile("rb")
+                status, obj = self._read_response(stream)
+                assert " 431 " in status
+                assert obj["error"]["code"] == "line-too-long"
+                assert stream.read() == b""  # server closed it
+            finally:
+                sock.close()
+            self._still_serving(handle)
+
+    def test_abrupt_disconnect_mid_watch_leaves_job_running(self, tmp_path):
+        """A watcher that vanishes mid-stream must not affect the job:
+        a later watcher still sees it complete with results."""
         gate = threading.Event()
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False),
                                     gate=gate)
         try:
-            with service(sock_dir, executor, workers=1, batch=1) as handle:
+            with service(tmp_path, executor, workers=1, batch=1) as handle:
                 with connect(handle) as client:
                     job = client.submit(["shared"], ["apache"], seeds=[21],
-                                        wait=False,
                                         settings=SETTINGS_WIRE)["job"]
-                # A raw watcher that vanishes mid-stream (first snapshot
-                # arrives, then the socket dies without a goodbye).
-                sock = self._raw_connect(handle)
-                stream = sock.makefile("rb")
-                sock.sendall(json.dumps(
-                    {"cmd": "watch", "job": job}).encode() + b"\n")
-                first = json.loads(stream.readline())
-                assert first["event"] == "progress"
-                sock.close()  # abrupt: no unsubscribe, mid-subscription
-                gate.set()
-                # The job is unaffected and a healthy client still sees
-                # it complete with results.
-                with connect(handle) as client:
-                    end = list(client.watch(job))[-1]
-                    assert end["event"] == "end"
+                    _, host, port = handle.address
+                    sock = socket.create_connection((host, port),
+                                                    timeout=CLIENT_TIMEOUT)
+                    sock.sendall(b"GET /v1/jobs/" + job.encode() +
+                                 b"/events HTTP/1.1\r\nHost: x\r\n\r\n")
+                    stream = sock.makefile("rb")
+                    while b"data: " not in stream.readline():
+                        pass  # first snapshot arrived
+                    # abrupt: no goodbye, mid-subscription
+                    sock.shutdown(socket.SHUT_RDWR)
+                    stream.close()
+                    sock.close()
+                    gate.set()
+                    end = list(client.events(job))[-1]
                     assert end["state"] == "done"
                     assert len(end["results"]) == 1
-                self._still_serving(handle)
+                    assert run_grid(client, ["shared"], ["apache"],
+                                    [77])["state"] == "done"
         finally:
             gate.set()

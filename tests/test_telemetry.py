@@ -19,7 +19,6 @@ The acceptance contract pinned here:
   unchanged shard directories.
 """
 
-import asyncio
 import hashlib
 import io
 import json
@@ -331,15 +330,16 @@ class TestHealthProbes:
                 client.submit(["shared"], ["apache"], seeds=[9],
                               settings=SETTINGS_WIRE)
                 assert client.readyz()["ready"] is True
-                future = asyncio.run_coroutine_threadsafe(
-                    handle.gateway.shutdown(), handle._box["loop"])
+                drainer = threading.Thread(target=handle.drain)
+                drainer.start()
                 reply = wait_for(
                     lambda: (lambda r: r if not r["ready"] else None)(
                         client.readyz()),
                     message="readyz flipping false during drain")
                 assert reply["checks"]["queue_accepting"] is False
                 gate.set()
-                future.result(timeout=120)
+                drainer.join(timeout=120)
+                assert not drainer.is_alive()
         finally:
             gate.set()
 

@@ -1,23 +1,24 @@
 """CI smoke test for the multi-process worker fabric, end to end as a
-user would run it: boot the real ``esp-nuca serve --workers 2`` daemon
-in a subprocess, submit a cold mini-grid, and prove from the server's
-own ``status`` counters that **more than one worker process actually
-executed jobs** (``fabric.completed_by_pid`` has >= 2 distinct pids,
-none of them the daemon's own). A traced resubmission of a fresh point
-then pins the same fact in trace metadata: the exported Chrome trace
-must contain executor ``pool run`` instants whose ``worker_pid`` args
-name processes other than the daemon. Results are checked
-byte-identical to a direct serial in-process run, and the drain must
-leave zero orphaned workers — threads *and* fabric processes.
+user would run it: boot the real ``esp-nuca gateway serve --workers 2
+--allow-anonymous`` in a subprocess, submit a cold mini-grid, and prove
+from the gateway's own ``GET /v1/status`` counters that **more than one
+worker process actually executed jobs** (``fabric.completed_by_pid``
+has >= 2 distinct pids, none of them the gateway's own). A traced
+submission of fresh points then pins the same fact in trace metadata:
+the exported Chrome trace must contain executor ``pool run`` instants
+whose ``worker_pid`` args name processes other than the gateway.
+Results are checked byte-identical to a direct serial in-process run,
+and the SIGTERM drain must leave zero orphaned worker processes.
 
 Run locally with ``PYTHONPATH=src python tools/fabric_smoke.py``; the
 in-process equivalents live in ``tests/test_fabric.py`` (this script
-exists to exercise the actual CLI flag, daemon process lifecycle and
+exists to exercise the actual CLI flag, gateway process lifecycle and
 OS-level process fan-out, which in-process tests cannot).
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,8 +26,8 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
+from repro.gateway.client import GatewayClient  # noqa: E402
 from repro.obs.export import events_of_category, validate_chrome  # noqa: E402
-from repro.service.client import ServiceClient  # noqa: E402
 
 ARCHS = ["shared", "private", "esp-nuca"]
 WORKLOADS = ["apache"]
@@ -44,6 +45,22 @@ def fail(message):
 
 def canonical(payloads):
     return json.dumps(payloads, sort_keys=True, separators=(",", ":"))
+
+
+def run(client, archs, **kwargs):
+    """Submit a grid and follow it to its end event."""
+    reply = client.submit(archs, WORKLOADS, settings=SETTINGS, **kwargs)
+    end = list(client.events(reply["job"]))[-1]
+    return dict(reply, **end)
+
+
+def gateway_url(server, log_path):
+    """The URL from the gateway's startup line on stdout."""
+    line = server.stdout.readline()
+    if "listening on " not in line:
+        with open(log_path, encoding="utf-8") as log:
+            fail(f"gateway did not start: {line!r}\n{log.read()}")
+    return line.split("listening on ", 1)[1].split()[0]
 
 
 def reference_results():
@@ -80,7 +97,7 @@ def check_trace_worker_pids(path, server_pid):
              "path did not run")
     pids = {e["args"]["worker_pid"] for e in pool_runs}
     if server_pid in pids:
-        fail(f"trace pool runs claim the daemon's own pid {server_pid}: "
+        fail(f"trace pool runs claim the gateway's own pid {server_pid}: "
              f"{sorted(pids)}")
     spawned = {e["args"]["worker_pid"]
                for e in events_of_category(payload, "fabric")
@@ -95,7 +112,7 @@ def check_trace_worker_pids(path, server_pid):
 
 def main():
     workdir = tempfile.mkdtemp(prefix="esp-fabric-smoke-")
-    sock = os.path.join(workdir, "svc.sock")
+    log_path = os.path.join(workdir, "gateway.log")
     trace_dir = os.environ.get("REPRO_TRACE_DIR") \
         or os.path.join(workdir, "traces")
     env = dict(os.environ,
@@ -103,35 +120,35 @@ def main():
                REPRO_CACHE_DIR=os.path.join(workdir, "cache"),
                REPRO_TRACE_DIR=trace_dir)
     env.pop("REPRO_JOBS", None)  # --workers must win on its own
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro.harness.cli", "serve",
-         "--bind", f"unix:{sock}", "--workers", "2",
-         "--service-workers", "1", "--batch", str(POINTS)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True)
+    with open(log_path, "wb") as log:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", "gateway", "serve",
+             "--db", os.path.join(workdir, "gateway.sqlite"),
+             "--http", "127.0.0.1:0", "--allow-anonymous", "--workers", "2",
+             "--service-workers", "1", "--batch", str(POINTS)],
+            env=env, stdout=subprocess.PIPE, stderr=log, text=True)
     try:
-        with ServiceClient.wait_until_ready(f"unix:{sock}",
-                                            timeout=BOOT_TIMEOUT,
+        url = gateway_url(server, log_path)
+        with GatewayClient.wait_until_ready(url, timeout=BOOT_TIMEOUT,
                                             proc=server) as client:
-            cold = client.submit(ARCHS, WORKLOADS, settings=SETTINGS,
-                                 wait=True)
+            cold = run(client, ARCHS)
             if cold["state"] != "done" or len(cold["results"]) != POINTS:
                 fail(f"cold submit did not complete: {cold}")
 
             status = client.status()
             if status.get("procs") != 2:
-                fail(f"server should report 2 simulation processes: "
+                fail(f"gateway should report 2 simulation processes: "
                      f"{status}")
             fabric = status.get("fabric")
             if not fabric:
-                fail(f"server status has no fabric stats: {status}")
+                fail(f"gateway status has no fabric stats: {status}")
             by_pid = {int(pid): n
                       for pid, n in fabric["completed_by_pid"].items()}
             if len(by_pid) < 2:
                 fail(f"expected jobs executed by >1 worker process, got "
                      f"{by_pid}")
             if server.pid in by_pid:
-                fail(f"daemon pid {server.pid} appears as a worker: "
+                fail(f"gateway pid {server.pid} appears as a worker: "
                      f"{by_pid}")
             if sum(by_pid.values()) != fabric["completed"]:
                 fail(f"per-pid completions disagree with the total: "
@@ -142,22 +159,21 @@ def main():
 
             # A traced job on a fresh point (cache would swallow a
             # repeat) pins worker pids in exported trace metadata.
-            traced = client.submit(["esp-nuca", "shared"], WORKLOADS,
-                                   seeds=[423, 424], settings=SETTINGS,
-                                   wait=True, trace=True)
+            traced = run(client, ["esp-nuca", "shared"], seeds=[423, 424],
+                         trace=True)
             if traced["state"] != "done" or not traced.get("trace_path"):
                 fail(f"traced submit did not complete: {traced}")
             trace_pids = check_trace_worker_pids(traced["trace_path"],
                                                  server.pid)
 
-            summary = client.drain()
-            if not summary.get("drained") or summary["workers_alive"] != 0:
-                fail(f"drain left workers running: {summary}")
-        server.wait(timeout=DRAIN_TIMEOUT)
+        server.send_signal(signal.SIGTERM)
+        out, _ = server.communicate(timeout=DRAIN_TIMEOUT)
         if server.returncode != 0:
-            fail(f"server exited {server.returncode} after drain")
+            fail(f"gateway exited {server.returncode} after SIGTERM")
+        if "gateway drained" not in out:
+            fail(f"missing drain summary in gateway output:\n{out}")
         # The drain barrier tears the fabric down: no worker process
-        # may outlive the daemon.
+        # may outlive the gateway.
         for pid in by_pid:
             try:
                 os.kill(pid, 0)

@@ -13,6 +13,10 @@ mid-backlog** and prove the system's durability story:
 * per-tenant quota rejects (429 ``quota-jobs``) and token-bucket rate
   limiting (429 ``rate-limited`` with ``Retry-After``) are enforced on
   the wire, and an unauthenticated request is refused (401);
+* an identical resubmission is answered from the persistent run cache
+  (``points.executed`` unchanged, results byte-identical), and a
+  ``trace: true`` submission exports a valid Chrome trace with spans
+  from both clock domains (CI uploads it as a workflow artifact);
 * ``/metrics`` scraped under load is valid Prometheus exposition whose
   counters are monotone across scrapes, and ``/readyz`` reports ready
   on a booted gateway but flips false while a SIGTERM drain is still
@@ -35,6 +39,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.gateway.client import GatewayClient, GatewayError  # noqa: E402
+from repro.obs.export import (events_of_category, span_names,  # noqa: E402
+                              validate_chrome)
 from repro.obs.metrics import (  # noqa: E402
     assert_counters_monotone, parse_exposition)
 
@@ -42,6 +48,10 @@ ARCHS = ["shared", "private", "esp-nuca"]
 WORKLOADS = ["apache"]
 SETTINGS = {"refs_per_core": 400, "warmup_refs_per_core": 100,
             "capacity_factor": 8, "num_seeds": 1}
+#: The traced run gets a little more work so the capture reliably
+#: contains helping-block events (replica/victim placements).
+TRACE_SETTINGS = {"refs_per_core": 800, "warmup_refs_per_core": 200,
+                  "capacity_factor": 8, "num_seeds": 1}
 #: Distinct seed per job so every job is genuinely uncached work.
 JOBS = 4
 BOOT_TIMEOUT = 60
@@ -55,6 +65,31 @@ def fail(message):
 
 def canonical(payloads):
     return json.dumps(payloads, sort_keys=True, separators=(",", ":"))
+
+
+def check_trace(path):
+    """A traced submission's export must be a valid Chrome trace with
+    spans from both clock domains and a helping-block instant."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    problems = validate_chrome(payload)
+    if problems:
+        fail(f"trace {path} is not valid Chrome trace JSON: {problems[:5]}")
+    if not [e for e in events_of_category(payload, "l2")
+            if e.get("ph") == "X"]:
+        fail("trace has no sim-clock L2 bank spans")
+    if not any(name.startswith("run ") for name in span_names(payload)):
+        fail("trace has no wall-clock executor run span")
+    helping = [e["name"] for e in payload["traceEvents"]
+               if e.get("ph") == "i" and e.get("name") in
+               ("replica placed", "victim placed", "allocation refused")]
+    if not helping:
+        fail("trace has no helping-block instant (replica/victim/refusal)")
+    service_names = {e["name"]
+                     for e in events_of_category(payload, "service")}
+    if "queue depth" not in service_names:
+        fail(f"trace has no service queue-depth counter: {service_names}")
+    return len(payload["traceEvents"])
 
 
 def reference_results(seed):
@@ -105,9 +140,13 @@ def main():
     db = os.path.join(workdir, "jobs.sqlite")
     port = 8123 + os.getpid() % 20000
     url = f"http://127.0.0.1:{port}"
+    # CI points REPRO_TRACE_DIR into the workspace so the captured
+    # trace can be uploaded as a workflow artifact.
     env = dict(os.environ,
                PYTHONPATH=os.path.join(REPO, "src"),
-               REPRO_CACHE_DIR=os.path.join(workdir, "cache"))
+               REPRO_CACHE_DIR=os.path.join(workdir, "cache"),
+               REPRO_TRACE_DIR=os.environ.get("REPRO_TRACE_DIR")
+               or os.path.join(workdir, "traces"))
     env.pop("REPRO_JOBS", None)
 
     # Operator workflow: migrate, mint a tenant, list it back.
@@ -214,8 +253,34 @@ def main():
             fail("per-tenant request counter missing for tenant 'smoke'")
         client.close()
 
-        # -- the backlog to kill: JOBS uncached grids, loose quotas ----------
+        # -- cache fast path: an identical resubmission never executes -------
         bulk = GatewayClient(url, api_key=bulk_key)
+        first = bulk.submit(ARCHS, WORKLOADS, settings=SETTINGS,
+                            seeds=[7500])
+        bulk.wait(first["job"], timeout=FINISH_TIMEOUT)
+        computed = bulk.results(first["job"])["results"]
+        executed = bulk.status()["points"]["executed"]
+        again = bulk.submit(ARCHS, WORKLOADS, settings=SETTINGS,
+                            seeds=[7500])
+        if again["state"] != "done" or again["cached"] != len(ARCHS):
+            fail(f"resubmission not served from the cache: {again}")
+        if bulk.status()["points"]["executed"] != executed:
+            fail("cached resubmission reached a worker")
+        if canonical(again["results"]) != canonical(computed):
+            fail("cached results differ from computed results")
+
+        # -- traced submission: a Chrome trace from both clock domains -------
+        traced = bulk.submit(["esp-nuca"], WORKLOADS,
+                             settings=TRACE_SETTINGS, seeds=[99],
+                             trace=True)
+        end = list(bulk.events(traced["job"]))[-1]
+        if end["state"] != "done" or not end.get("trace_path"):
+            fail(f"traced submit produced no trace: {end}")
+        if "gauges" not in bulk.job(traced["job"]):
+            fail("job snapshot is missing live gauges")
+        trace_events = check_trace(end["trace_path"])
+
+        # -- the backlog to kill: JOBS uncached grids, loose quotas ----------
         killed_pids = worker_pids(bulk.status())
         seeds = [8200 + i for i in range(JOBS)]
         for seed in seeds:
@@ -301,7 +366,9 @@ def main():
             if _pid_alive(pid):
                 fail(f"worker process {pid} survived the graceful stop")
         print("gateway smoke OK: "
-              f"auth/rate/quota rejects typed, {len(submitted)} job(s) "
+              f"auth/rate/quota rejects typed, resubmission fully cached, "
+              f"traced run exported {trace_events} event(s) to "
+              f"{end['trace_path']}, {len(submitted)} job(s) "
               f"survived SIGKILL (workers reaped), all recovered to "
               f"done with results byte-identical to direct runs, "
               f"/metrics monotone across scrapes, /readyz flipped "
