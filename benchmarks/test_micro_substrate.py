@@ -10,7 +10,7 @@ import random
 
 from repro.architectures.registry import make_architecture
 from repro.cache.bank import CacheBank
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 from repro.common.config import scaled_config
 from repro.noc.message import MessageKind
 from repro.noc.network import Network
@@ -22,7 +22,7 @@ def test_bank_lookup_throughput(benchmark):
     rng = random.Random(7)
     blocks = [rng.randrange(1 << 30) for _ in range(4096)]
     for block in blocks[:1024]:
-        bank.allocate(block % 64, CacheBlock(block=block,
+        bank.allocate(block % 64, L2Line(block=block,
                                              cls=BlockClass.SHARED,
                                              tokens=1))
 

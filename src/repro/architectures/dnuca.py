@@ -24,9 +24,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.architectures.base import NucaArchitecture
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 from repro.cache.l1 import L1Line
-from repro.coherence.tokens import L2Holding
 from repro.sim.request import Supplier
 
 
@@ -58,20 +57,19 @@ class DNuca(NucaArchitecture):
                     ) -> Tuple[int, Supplier]:
         index = self.dnuca_index(block)
         core_router = self.router_of_core(core)
-        holding = self._nearest_holding(block, core_router)
-        if holding is not None:
+        holder = self._nearest_line(block, core_router)
+        if holder is not None:
             # Perfect search: go straight to the holder bank.
-            bank_id = holding.bank_id
+            bank_id = holder.bank_id
             bank_router = self.router_of_bank(bank_id)
             t1 = self.req(core_router, bank_router, t)
             # Count the demand lookup in the holder bank's statistics.
             entry = self.banks[bank_id].lookup(index, block)
-            assert entry is holding.entry
+            assert entry is holder
             t2 = self.bank_service(bank_id, t1, hit=True)
             local = bank_router == core_router
             if is_write:
-                tokens, _, _ = self.take_from_l2_entry(block, bank_id, index,
-                                                       entry, want_all=True)
+                tokens, _, _ = self.take_from_l2_line(entry, want_all=True)
                 t_coll, extra, _ = self.collect_for_write(core, block,
                                                           bank_router, t2)
                 t_done = max(self.data(bank_router, core_router, t2), t_coll)
@@ -80,20 +78,18 @@ class DNuca(NucaArchitecture):
             t_done = self.data(bank_router, core_router, t2)
             if local:
                 # Local hits swallow sole copies (cheap later upgrades).
-                tokens, dirty, _ = self.take_from_l2_entry(
-                    block, bank_id, index, entry, want_all=False)
+                tokens, dirty, _ = self.take_from_l2_line(entry,
+                                                          want_all=False)
                 self.system.l1_fill(core, block, tokens, dirty, t_done)
                 return t_done, Supplier.L2_LOCAL
             # Remote hit: borrow a token and pull the copy one
             # cluster-step toward the requester (gradual migration);
             # replication happens on the requester's later writeback.
-            tokens, dirty, removed = self.take_from_l2_entry(
-                block, bank_id, index, entry,
-                want_all=False, exclusive_if_sole=False)
+            tokens, dirty, removed = self.take_from_l2_line(
+                entry, want_all=False, exclusive_if_sole=False)
             self.system.l1_fill(core, block, tokens, dirty, t_done)
             if not removed:
-                self._migrate_toward(block, entry, holding, core_router,
-                                     t_done)
+                self._migrate_toward(block, entry, core_router, t_done)
             return t_done, Supplier.L2_SHARED
         # Not in L2: remote L1s, then memory. Miss detection is charged
         # at the requester's own cluster bank of the bankset.
@@ -122,66 +118,59 @@ class DNuca(NucaArchitecture):
 
     # -- movement -----------------------------------------------------------------------
 
-    def _nearest_holding(self, block: int, router: int) -> Optional[L2Holding]:
-        holdings = self.ledger.l2_holdings(block)
-        if not holdings:
+    def _nearest_line(self, block: int, router: int) -> Optional[L2Line]:
+        lines = self.ledger.l2_holdings(block)
+        if not lines:
             return None
-        if len(holdings) == 1:  # no replica: nothing to rank
-            return holdings[0]
-        return min(holdings, key=lambda h: self.topology.hops(
-            router, self.router_of_bank(h.bank_id)))
+        if len(lines) == 1:  # no replica: nothing to rank
+            return lines[0]
+        return min(lines, key=lambda line: self.topology.hops(
+            router, self.router_of_bank(line.bank_id)))
 
-    def _migrate_toward(self, block: int, entry: CacheBlock,
-                        holding: L2Holding, requester_router: int,
-                        t: int = 0) -> None:
-        """Move the entry one cluster-step toward the requester,
-        swapping with the LRU block of the target set."""
-        src_router = self.router_of_bank(holding.bank_id)
+    def _migrate_toward(self, block: int, entry: L2Line,
+                        requester_router: int, t: int = 0) -> None:
+        """Move the line one cluster-step toward the requester,
+        swapping with the LRU line of the target set."""
+        src_router = self.router_of_bank(entry.bank_id)
         route = self.topology.dor_route(src_router, requester_router)
         if len(route) < 2:
             return
         target_cluster = route[1]
-        src_bank, src_index = holding.bank_id, holding.set_index
-        dst_bank = self.bank_of(block, target_cluster)
+        src, src_index = self.banks[entry.bank_id], entry.set_index
+        dst = self.banks[self.bank_of(block, target_cluster)]
         dst_index = self.dnuca_index(block)
-        dst_set = self.banks[dst_bank].sets[dst_index]
         # If the destination already holds a copy, merge instead of
         # moving (the bankset may contain several replicas).
-        existing = dst_set.find(block)
+        existing = dst.peek(dst_index, block)
         tokens = self.ledger.take_from_l2(block, entry)
-        self.banks[src_bank].remove(src_index, entry)
+        src.remove(src_index, entry)
         if existing is not None:
             existing.tokens += tokens
             existing.dirty = existing.dirty or entry.dirty
-            self.banks[dst_bank].touch(existing)
+            dst.touch(existing)
             self.migrations += 1
             return
         entry.tokens = tokens
-        victim = dst_set.lru_block()
+        victim = dst.lru_line(dst_index)
         if victim is not None:
-            # Swap: the displaced block takes the vacated way — unless
+            # Swap: the displaced line takes the vacated way — unless
             # the source set already has a copy of it, which absorbs
             # its tokens instead (no duplicate entries per set).
             vtokens = self.ledger.take_from_l2(victim.block, victim)
-            self.banks[dst_bank].remove(dst_index, victim)
-            src_copy = self.banks[src_bank].sets[src_index].find(victim.block)
+            dst.remove(dst_index, victim)
+            src_copy = src.peek(src_index, victim.block)
             if src_copy is not None:
                 src_copy.tokens += vtokens
                 src_copy.dirty = src_copy.dirty or victim.dirty
             else:
                 victim.tokens = vtokens
-                admitted, evicted = self.banks[src_bank].allocate(src_index,
-                                                                  victim)
+                admitted, evicted = src.allocate(src_index, victim, t=t)
                 assert admitted and evicted is None
-                self.ledger.register_l2(victim.block, src_bank, src_index,
-                                        victim)
-        admitted, evicted = self.banks[dst_bank].allocate(dst_index, entry)
+        # The destination set has a free way now (unless it was empty
+        # and stays so), so this displaces nothing in practice; a
+        # displaced line would go through on_l2_eviction.
+        admitted, _ = dst.allocate(dst_index, entry, t=t)
         assert admitted
-        if evicted is not None:  # only when the set had a free way race
-            etokens = self.ledger.take_from_l2(evicted.block, evicted)
-            self.on_l2_eviction(dst_bank, dst_index, evicted, etokens, False,
-                                t)
-        self.ledger.register_l2(block, dst_bank, dst_index, entry)
         self.migrations += 1
 
     # -- eviction routing ------------------------------------------------------------------
@@ -195,11 +184,11 @@ class DNuca(NucaArchitecture):
         tokens = self.ledger.take_from_l1(block, core)
         own_bank = self.bank_of(block, core)
         holdings = self.ledger.l2_holdings(block)
-        for holding in holdings:
-            if holding.bank_id == own_bank:
-                holding.entry.tokens += tokens
-                holding.entry.dirty = holding.entry.dirty or line.dirty
-                self.banks[own_bank].touch(holding.entry)
+        for held in holdings:
+            if held.bank_id == own_bank:
+                held.tokens += tokens
+                held.dirty = held.dirty or line.dirty
+                self.banks[own_bank].touch(held)
                 return
         if holdings:
             self.replications += 1  # a second bankset copy is born

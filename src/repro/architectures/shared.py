@@ -29,8 +29,8 @@ class SharedNuca(NucaArchitecture):
         entry = self.banks[bank_id].lookup(index, block)
         if entry is not None:
             t2 = self.bank_service(bank_id, t1, hit=True)
-            tokens, dirty, _ = self.take_from_l2_entry(
-                block, bank_id, index, entry, want_all=is_write)
+            tokens, dirty, _ = self.take_from_l2_line(entry,
+                                                      want_all=is_write)
             t_done = self.data(home_router, core_router, t2)
             if is_write:
                 t_coll, extra, _ = self.collect_for_write(core, block,
@@ -62,14 +62,13 @@ class SharedNuca(NucaArchitecture):
             # Possible only in subclasses that keep extra L2 copies
             # (e.g. Victim Replication's local replicas): the home bank
             # forwards to the copy's bank.
-            holding = min(holdings, key=lambda h: self.topology.hops(
+            line = min(holdings, key=lambda h: self.topology.hops(
                 home_router, self.router_of_bank(h.bank_id)))
-            remote_router = self.router_of_bank(holding.bank_id)
+            remote_router = self.router_of_bank(line.bank_id)
             t3 = self.req(home_router, remote_router, t2)
-            t4 = self.bank_service(holding.bank_id, t3, hit=True)
-            tokens, dirty, _ = self.take_from_l2_entry(
-                block, holding.bank_id, holding.set_index, holding.entry,
-                want_all=is_write, exclusive_if_sole=False)
+            t4 = self.bank_service(line.bank_id, t3, hit=True)
+            tokens, dirty, _ = self.take_from_l2_line(
+                line, want_all=is_write, exclusive_if_sole=False)
             if is_write:
                 t_coll, extra, _ = self.collect_for_write(core, block,
                                                           home_router, t4)

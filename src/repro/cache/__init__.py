@@ -1,8 +1,7 @@
 """Generic set-associative cache substrate shared by every architecture."""
 
 from repro.cache.bank import CacheBank, SetRole
-from repro.cache.block import BlockClass, CacheBlock, FIRST_CLASS, HELPING
-from repro.cache.cache_set import CacheSet
+from repro.cache.block import BlockClass, FIRST_CLASS, HELPING, L2Line
 from repro.cache.l1 import L1Cache
 from repro.cache.replacement import (
     FlatLru,
@@ -16,10 +15,9 @@ __all__ = [
     "CacheBank",
     "SetRole",
     "BlockClass",
-    "CacheBlock",
+    "L2Line",
     "FIRST_CLASS",
     "HELPING",
-    "CacheSet",
     "L1Cache",
     "FlatLru",
     "ProtectedLru",

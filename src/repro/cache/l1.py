@@ -10,9 +10,13 @@ functional layer.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.statsreg import Scope
+
+
+_LRU = attrgetter("lru")
 
 
 class L1Line:
@@ -87,15 +91,8 @@ class L1Cache:
             return existing, None, True
         evicted: Optional[L1Line] = None
         if len(cache_set) >= self.assoc:
-            # First-minimum-lru victim (same tie-break as min() over
-            # insertion order, without a lambda call per way).
-            victim_block = None
-            victim_lru = None
-            for b, ln in cache_set.items():
-                if victim_lru is None or ln.lru < victim_lru:
-                    victim_lru = ln.lru
-                    victim_block = b
-            evicted = cache_set.pop(victim_block)
+            # First-minimum-lru victim in insertion order.
+            evicted = cache_set.pop(min(cache_set.values(), key=_LRU).block)
         line = L1Line(block, tokens, dirty)
         self._stamp += 1
         line.lru = self._stamp

@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.cache.block import BlockClass, CacheBlock
-from repro.cache.cache_set import CacheSet
+from repro.cache.block import BlockClass, L2Line
 from repro.cache.replacement import ReplacementPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,7 +69,7 @@ class ShadowTagPartition(ReplacementPolicy):
                 if state.target_private > 1:
                     state.target_private -= 1
 
-    def _record_eviction(self, state: _SetShadowState, victim: CacheBlock) -> None:
+    def _record_eviction(self, state: _SetShadowState, victim: L2Line) -> None:
         if victim.cls == BlockClass.PRIVATE:
             state.private_tags.append(victim.block)
         elif victim.cls == BlockClass.SHARED:
@@ -78,20 +77,22 @@ class ShadowTagPartition(ReplacementPolicy):
 
     # -- replacement ---------------------------------------------------------
 
-    def choose(self, cache_set: CacheSet, incoming: CacheBlock,
-               bank: "CacheBank", set_index: int) -> Optional[int]:
-        free = cache_set.free_way()
+    def choose(self, bank: "CacheBank", set_index: int,
+               cls: BlockClass) -> Optional[int]:
+        free = bank.free_way(set_index)
         state = self._state(bank.bank_id, set_index)
         if free is not None:
             return free
-        privates = cache_set.count(lambda b: b.cls == BlockClass.PRIVATE)
+        privates = bank.count(set_index,
+                              lambda b: b.cls == BlockClass.PRIVATE)
         over_private = privates > state.target_private
         # Evict from the class exceeding its target; fall back to global
         # LRU when that class has no resident blocks.
-        victim = cache_set.lru_block(
+        victim = bank.lru_line(
+            set_index,
             lambda b, op=over_private: (b.cls == BlockClass.PRIVATE) == op)
         if victim is None:
-            victim = cache_set.lru_block()
+            victim = bank.lru_line(set_index)
         assert victim is not None
         self._record_eviction(state, victim)
-        return cache_set.find_way(victim)
+        return victim.way

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.cache.bank import CacheBank
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 from repro.cache.l1 import L1Line
 from repro.cache.replacement import FlatLru, ProtectedLru
 from repro.common.config import SystemConfig
@@ -137,7 +137,7 @@ class EspNuca(SpNuca):
 
     # -- hit handling refinements ---------------------------------------------------
 
-    def _serve_private_hit(self, core: int, block: int, entry: CacheBlock,
+    def _serve_private_hit(self, core: int, block: int, entry: L2Line,
                            bank_id: int, index: int, is_write: bool,
                            t_hit: int) -> Tuple[int, Supplier]:
         if entry.cls is BlockClass.REPLICA:
@@ -147,23 +147,22 @@ class EspNuca(SpNuca):
                 # across reuses instead of swapping into the L1 and
                 # being recreated (and re-evicting a neighbour) on
                 # every L1 eviction cycle.
-                tokens, dirty, _ = self.take_from_l2_entry(
-                    block, bank_id, index, entry,
-                    want_all=False, exclusive_if_sole=False)
+                tokens, dirty, _ = self.take_from_l2_line(
+                    entry, want_all=False, exclusive_if_sole=False)
                 self.system.l1_fill(core, block, tokens, dirty, t_hit)
                 return t_hit, Supplier.L2_LOCAL
         return super()._serve_private_hit(core, block, entry, bank_id,
                                           index, is_write, t_hit)
 
-    def _serve_shared_hit(self, core: int, block: int, entry: CacheBlock,
+    def _serve_shared_hit(self, core: int, block: int, entry: L2Line,
                           bank_id: int, index: int, sb_router: int,
                           is_write: bool, t_hit: int) -> Tuple[int, Supplier]:
         if entry.cls is BlockClass.VICTIM:
             self._victim_hits.value += 1
             if entry.owner == core:
                 # The owner reclaims its victim: swap it back into L1.
-                tokens, dirty, _ = self.take_from_l2_entry(
-                    block, bank_id, index, entry, want_all=True)
+                tokens, dirty, _ = self.take_from_l2_line(entry,
+                                                          want_all=True)
                 t_done = t_hit
                 if is_write and tokens < self.ledger.total_tokens:
                     t_coll, extra, _ = self.collect_for_write(
@@ -244,9 +243,9 @@ class EspNuca(SpNuca):
             existing.dirty = existing.dirty or dirty
             bank.touch(existing)
             return True
-        entry = CacheBlock(block=block, cls=BlockClass.REPLICA, owner=core,
-                           dirty=dirty, tokens=tokens)
-        if self.l2_allocate(bank_id, index, entry, cascade=True, t=t):
+        entry = L2Line(block, BlockClass.REPLICA, core, dirty, tokens)
+        if bank.allocate(index, entry, cascade=True, t=t,
+                         dup_checked=True)[0]:
             self._replicas_created.value += 1
             tr = self.system.tracer
             if tr.enabled and tr.wants("esp"):
@@ -258,7 +257,7 @@ class EspNuca(SpNuca):
             return True
         return False
 
-    def on_l2_eviction(self, bank_id: int, set_index: int, entry: CacheBlock,
+    def on_l2_eviction(self, bank_id: int, set_index: int, entry: L2Line,
                        tokens: int, cascade: bool, t: int = 0) -> None:
         if entry.cls is BlockClass.PRIVATE and not cascade:
             sb = self.amap.shared_bank(entry.block)
@@ -272,10 +271,10 @@ class EspNuca(SpNuca):
                 existing.dirty = existing.dirty or entry.dirty
                 bank.touch(existing)
                 return
-            victim = CacheBlock(block=entry.block, cls=BlockClass.VICTIM,
-                                owner=entry.owner, dirty=entry.dirty,
-                                tokens=tokens)
-            if self.l2_allocate(sb, sidx, victim, cascade=True, t=t):
+            victim = L2Line(entry.block, BlockClass.VICTIM, entry.owner,
+                            entry.dirty, tokens)
+            if bank.allocate(sidx, victim, cascade=True, t=t,
+                             dup_checked=True)[0]:
                 self._victims_created.value += 1
                 tr = self.system.tracer
                 if tr.enabled and tr.wants("esp"):

@@ -25,12 +25,11 @@ from typing import List, Optional, Tuple
 
 from repro.architectures.base import NucaArchitecture
 from repro.cache.bank import CacheBank
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 from repro.cache.l1 import L1Line
 from repro.cache.replacement import FlatLru, ReplacementPolicy, StaticPartition
 from repro.cache.shadow import ShadowTagPartition
 from repro.common.config import SystemConfig
-from repro.coherence.tokens import L2Holding
 from repro.core.private_bit import Classification, PrivateBitDirectory
 from repro.sim.request import Supplier
 
@@ -128,12 +127,11 @@ class SpNuca(NucaArchitecture):
 
     # -- hit handlers ----------------------------------------------------------------
 
-    def _serve_private_hit(self, core: int, block: int, entry: CacheBlock,
+    def _serve_private_hit(self, core: int, block: int, entry: L2Line,
                            bank_id: int, index: int, is_write: bool,
                            t_hit: int) -> Tuple[int, Supplier]:
         """Hit in the requester's own partition: swap the block into L1."""
-        tokens, dirty, _ = self.take_from_l2_entry(block, bank_id, index,
-                                                   entry, want_all=True)
+        tokens, dirty, _ = self.take_from_l2_line(entry, want_all=True)
         t_done = t_hit
         if is_write and tokens < self.ledger.total_tokens:
             t_coll, extra, _ = self.collect_for_write(
@@ -156,21 +154,19 @@ class SpNuca(NucaArchitecture):
                     tid=f"bank{self.amap.shared_bank(block)}",
                     args={"block": f"{block:#x}", "accessor": core})
 
-    def _serve_shared_hit(self, core: int, block: int, entry: CacheBlock,
+    def _serve_shared_hit(self, core: int, block: int, entry: L2Line,
                           bank_id: int, index: int, sb_router: int,
                           is_write: bool, t_hit: int) -> Tuple[int, Supplier]:
         self._note_access(block, core)
         core_router = self.router_of_core(core)
         if is_write:
-            tokens, _, _ = self.take_from_l2_entry(block, bank_id, index,
-                                                   entry, want_all=True)
+            tokens, _, _ = self.take_from_l2_line(entry, want_all=True)
             t_coll, extra, _ = self.collect_for_write(core, block,
                                                       sb_router, t_hit)
             t_done = max(self.data(sb_router, core_router, t_hit), t_coll)
             self.system.l1_fill(core, block, tokens + extra, True, t_done)
         else:
-            tokens, dirty, _ = self.take_from_l2_entry(block, bank_id, index,
-                                                       entry, want_all=False)
+            tokens, dirty, _ = self.take_from_l2_line(entry, want_all=False)
             t_done = self.data(sb_router, core_router, t_hit)
             self.system.l1_fill(core, block, tokens, dirty, t_done)
         supplier = (Supplier.L2_LOCAL if sb_router == core_router
@@ -187,9 +183,9 @@ class SpNuca(NucaArchitecture):
         self._note_access(block, core)
         core_router = self.router_of_core(core)
         state = self.ledger.state(block)
-        holding = self._pick_remote_holding(state.l2.values(), sb_router)
-        if holding is not None:
-            return self._serve_remote_l2(core, block, holding, sb, sidx,
+        line = self._pick_remote_line(state.l2, sb_router)
+        if line is not None:
+            return self._serve_remote_l2(core, block, line, sb, sidx,
                                          sb_router, is_write, t)
         holders = [h for h in state.l1 if h != core]
         assert holders, "on-chip block must have a holder"
@@ -205,22 +201,20 @@ class SpNuca(NucaArchitecture):
         self.system.l1_fill(core, block, tokens, dirty, t_done)
         return t_done, Supplier.L1_REMOTE
 
-    def _pick_remote_holding(self, holdings, sb_router: int
-                             ) -> Optional[L2Holding]:
-        candidates = list(holdings)
-        if not candidates:
+    def _pick_remote_line(self, lines: List[L2Line], sb_router: int
+                          ) -> Optional[L2Line]:
+        if not lines:
             return None
-        return min(candidates, key=lambda h: self.topology.hops(
-            sb_router, self.router_of_bank(h.bank_id)))
+        return min(lines, key=lambda line: self.topology.hops(
+            sb_router, self.router_of_bank(line.bank_id)))
 
-    def _serve_remote_l2(self, core: int, block: int, holding: L2Holding,
+    def _serve_remote_l2(self, core: int, block: int, entry: L2Line,
                          sb: int, sidx: int, sb_router: int, is_write: bool,
                          t: int) -> Tuple[int, Supplier]:
-        entry = holding.entry
-        remote_router = self.router_of_bank(holding.bank_id)
+        remote_router = self.router_of_bank(entry.bank_id)
         core_router = self.router_of_core(core)
         t1 = self.req(sb_router, remote_router, t)
-        t2 = self.bank_service(holding.bank_id, t1, hit=True)
+        t2 = self.bank_service(entry.bank_id, t1, hit=True)
         if is_write:
             t_coll, tokens, _ = self.collect_for_write(core, block,
                                                        sb_router, t2)
@@ -230,9 +224,8 @@ class SpNuca(NucaArchitecture):
         if entry.cls is BlockClass.REPLICA:
             # Another core's local copy of shared data: borrow a token,
             # leave the replica serving its owner.
-            tokens, dirty, _ = self.take_from_l2_entry(
-                block, holding.bank_id, holding.set_index, entry,
-                want_all=False, exclusive_if_sole=False)
+            tokens, dirty, _ = self.take_from_l2_line(
+                entry, want_all=False, exclusive_if_sole=False)
             t_done = self.data(remote_router, core_router, t2)
             self.system.l1_fill(core, block, tokens, dirty, t_done)
             return t_done, Supplier.L2_REMOTE
@@ -240,7 +233,7 @@ class SpNuca(NucaArchitecture):
         # and migrate the copy to its shared bank (Section 2.3).
         dirty = entry.dirty
         tokens = self.ledger.take_from_l2(block, entry)
-        self.banks[holding.bank_id].remove(holding.set_index, entry)
+        self.banks[entry.bank_id].remove(entry.set_index, entry)
         grant = 1 if tokens > 1 else tokens
         rest = tokens - grant
         t_done = self.data(remote_router, core_router, t2)

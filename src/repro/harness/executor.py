@@ -49,7 +49,7 @@ from repro.common.config import SystemConfig
 from repro.harness.runcache import RunCache, cache_key, env_int  # noqa: F401
 from repro.obs import trace as obs
 from repro.obs.logging import get_logger
-from repro.sim.cpu import TraceItem
+from repro.sim.cpu import TraceColumns
 from repro.sim.engines import build_engine
 from repro.sim.results import SimResult
 from repro.sim.system import CmpSystem
@@ -101,19 +101,21 @@ def prepare_spec(settings, workload: str) -> WorkloadSpec:
 
 
 def materialize_traces(config: SystemConfig, settings, workload: str,
-                       seed: int) -> List[Optional[List[TraceItem]]]:
-    """Deterministically generate the per-core traces of a run point."""
+                       seed: int) -> List[Optional[TraceColumns]]:
+    """Deterministically generate the per-core traces of a run point,
+    as column traces (docs/engine.md, "State layout")."""
     generator = TraceGenerator(prepare_spec(settings, workload), seed)
-    return [list(trace) if trace is not None else None
-            for trace in generator.traces(config.num_cores)]
+    return generator.columns(config.num_cores)
 
 
 #: Per-process memo of materialized traces, bounded because a single
-#: (workload, seed) entry at full fidelity is tens of MB. Grouping run
+#: (workload, seed) entry at full fidelity is several MB. Grouping run
 #: points by (workload, seed) before dispatch keeps the hit rate high
-#: with a small bound.
+#: with a small bound. Column traces keep the memo invisible to the
+#: cyclic garbage collector: a few lists per core, not an object per
+#: reference.
 _TRACE_CACHE_MAX = 8
-_trace_cache: "OrderedDict[Tuple, List[Optional[List[TraceItem]]]]" = \
+_trace_cache: "OrderedDict[Tuple, List[Optional[TraceColumns]]]" = \
     OrderedDict()
 # The simulation service runs serial batches on a thread pool, so the
 # memo sees concurrent access; materialization happens outside the lock
@@ -121,7 +123,7 @@ _trace_cache: "OrderedDict[Tuple, List[Optional[List[TraceItem]]]]" = \
 _trace_cache_lock = threading.Lock()
 
 
-def _cached_traces(point: RunPoint) -> List[Optional[List[TraceItem]]]:
+def _cached_traces(point: RunPoint) -> List[Optional[TraceColumns]]:
     key = (point.workload, point.seed, point.settings.refs_per_core,
            point.settings.warmup_refs_per_core,
            point.settings.capacity_factor, point.config.num_cores)
@@ -143,27 +145,33 @@ def simulate_point(point: RunPoint) -> SimResult:
     """Simulate one run point from scratch (modulo the trace memo).
 
     This is the multiprocessing worker entry; it reproduces
-    ``ExperimentRunner.run_one`` / ``run_custom`` exactly.
+    ``ExperimentRunner.run_one`` / ``run_custom`` exactly. The finished
+    system is closed, so reference counting frees it on return instead
+    of leaving a cyclic machine for the garbage collector.
     """
     if point.arch is not None:
         architecture = make_architecture(point.arch, point.config)
     else:
         architecture = point.factory(point.config)
     system = CmpSystem(point.config, architecture)
-    if system.tracer.enabled:
-        # Label this run's sim-clock trace process before any event
-        # allocates it.
-        system.set_trace_label(
-            f"{point.name}/{point.workload} s{point.seed}")
-    # build_engine adopts materialized lists directly (the vectorized
-    # engine indexes them in place; the reference engine wraps fresh
-    # iterators) — one seam, so serial, pooled and service execution all
-    # honor the point's engine selection identically (docs/engine.md).
-    engine = build_engine(system, _cached_traces(point),
-                          point.settings.engine)
-    result = engine.run(
-        max_refs_per_core=point.settings.refs_per_core,
-        warmup_refs_per_core=point.settings.warmup_refs_per_core)
+    try:
+        if system.tracer.enabled:
+            # Label this run's sim-clock trace process before any event
+            # allocates it.
+            system.set_trace_label(
+                f"{point.name}/{point.workload} s{point.seed}")
+        # build_engine adopts column traces directly (the vectorized
+        # engine indexes them in place; the reference engine wraps
+        # fresh iterators) — one seam, so serial, pooled and service
+        # execution all honor the point's engine selection identically
+        # (docs/engine.md).
+        engine = build_engine(system, _cached_traces(point),
+                              point.settings.engine)
+        result = engine.run(
+            max_refs_per_core=point.settings.refs_per_core,
+            warmup_refs_per_core=point.settings.warmup_refs_per_core)
+    finally:
+        system.close()
     if point.arch is None:
         result.architecture = point.name
     result.workload = point.workload

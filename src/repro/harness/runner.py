@@ -30,7 +30,7 @@ from repro.common.rng import perturbed_seeds
 from repro.harness.executor import (Executor, RunPoint, env_int,
                                     materialize_traces)
 from repro.metrics.performance import AggregateResult
-from repro.sim.cpu import TraceItem
+from repro.sim.cpu import TraceColumns
 from repro.sim.engines import ENGINES
 from repro.sim.results import SimResult
 
@@ -107,13 +107,13 @@ class ExperimentRunner:
         self.seeds = perturbed_seeds(self.settings.base_seed,
                                      self.settings.num_seeds)
         self.executor = executor or Executor()
-        self._trace_cache: Dict[Tuple[str, int], List[Optional[List[TraceItem]]]] = {}
+        self._trace_cache: Dict[Tuple[str, int], List[Optional[TraceColumns]]] = {}
         self._run_cache: Dict[Tuple[str, str, int], SimResult] = {}
 
     # -- workload preparation -----------------------------------------------
 
     def _traces(self, workload: str, seed: int
-                ) -> List[Optional[List[TraceItem]]]:
+                ) -> List[Optional[TraceColumns]]:
         key = (workload, seed)
         cached = self._trace_cache.get(key)
         if cached is None:

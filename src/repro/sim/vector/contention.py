@@ -277,9 +277,9 @@ class ContentionSession:
             if not count:
                 continue
             cycles = rec[1]
-            system._access_count[supplier].value += count
-            system._access_cycles[supplier].value += cycles
-            hist = system._access_hist[supplier]
+            system._access_count[supplier.idx].value += count
+            system._access_cycles[supplier.idx].value += cycles
+            hist = system._access_hist[supplier.idx]
             hist.count += count
             hist.total += cycles
             live = hist.buckets

@@ -50,31 +50,30 @@ from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Sequence
 
 from repro.common.statsreg import _HIST_BUCKETS
-from repro.sim.cpu import TraceItem
+from repro.sim.cpu import TraceColumns, TraceItem
 from repro.sim.engine import SimulationEngine
 from repro.sim.system import CmpSystem
 from repro.sim.vector import contention, soa
 from repro.sim.vector.mirror import MirrorJournal
-from repro.sim.vector.soa import SoATrace
 
 
 class VectorizedEngine(SimulationEngine):
     """Drop-in engine producing byte-identical results to the reference.
 
     Traces are materialized up front (the engine needs random access
-    for classification); the struct-of-arrays views live in
-    :class:`~repro.sim.vector.soa.SoATrace`.
+    for classification) as :class:`~repro.sim.cpu.TraceColumns`:
+    column traces are adopted as they are — the executor's memo hands
+    the same objects to every point of a (workload, seed) — and any
+    other trace is converted once.
     """
 
     def __init__(self, system: CmpSystem,
                  traces: Sequence[Optional[Iterator[TraceItem]]]) -> None:
-        items = [t if isinstance(t, list) else (list(t) if t is not None
-                                                else None) for t in traces]
-        super().__init__(system, items)
-        n = len(items)
+        columns = [t if t is None or isinstance(t, TraceColumns)
+                   else TraceColumns.from_items(t) for t in traces]
+        super().__init__(system, columns)
+        n = len(columns)
         self._pos = [0] * n
-        self._soa: List[Optional[SoATrace]] = [
-            SoATrace(t) if t is not None else None for t in items]
         self._journal: Optional[MirrorJournal] = None
         # Contention-kernel session (docs/engine.md): lazily built,
         # installed only for the span of a fast phase.
@@ -92,13 +91,13 @@ class VectorizedEngine(SimulationEngine):
         # loop, classifier and serve path index these instead of
         # chasing object attributes per reference.
         self._blocks = [t.blocks if t is not None else None
-                        for t in self._soa]
+                        for t in columns]
         self._writes = [t.writes if t is not None else None
-                        for t in self._soa]
+                        for t in columns]
         self._gaps = [t.gaps if t is not None else None
-                      for t in self._soa]
+                      for t in columns]
         self._deps = [t.deps if t is not None else None
-                      for t in self._soa]
+                      for t in columns]
         self._l1s = system.l1s
         self._l1_sets = [l1._sets for l1 in system.l1s]
         self._l1_nsets = [l1.num_sets for l1 in system.l1s]
@@ -127,15 +126,15 @@ class VectorizedEngine(SimulationEngine):
     def _next_item(self, core_id: int) -> Optional[TraceItem]:
         # The fallback heap loop consumes via this hook; positions are
         # shared with the fast path so phases can never double-process.
-        items = self.traces[core_id]
-        if items is None:
+        trace = self.traces[core_id]
+        if trace is None:
             return None
         pos = self._pos[core_id]
-        if pos >= len(items):
+        if pos >= len(trace):
             self.traces[core_id] = None
             return None
         self._pos[core_id] = pos + 1
-        return items[pos]
+        return trace.item(pos)
 
     def _run_phase(self, cap: Optional[int]) -> None:
         if (self.system.tracer.enabled or self.system.checker is not None
@@ -498,7 +497,7 @@ class VectorizedEngine(SimulationEngine):
             self._scout[cid] = None
             self._journal.runs[cid] = None
             return
-        trace = self._soa[cid]
+        trace = self.traces[cid]
         limit = self._limit[cid]
         journal = self._journal
         gaps = trace.gaps
@@ -617,7 +616,7 @@ class VectorizedEngine(SimulationEngine):
         if n == 0:
             return
         pos = self._pos[cid]
-        trace = self._soa[cid]
+        trace = self.traces[cid]
         blocks = trace.blocks
         writes = trace.writes
         l1 = self.system.l1s[cid]
@@ -649,7 +648,7 @@ class VectorizedEngine(SimulationEngine):
         (the walk is deterministic, so a later full commit of the
         remainder still lands exactly on the scout state)."""
         n = self._run_len[cid]
-        trace = self._soa[cid]
+        trace = self.traces[cid]
         gaps = trace.gaps
         blocks = trace.blocks
         writes = trace.writes

@@ -10,8 +10,8 @@ sets at once, including tie-breaks:
 
 * a free way is the lowest-indexed invalid way;
 * an LRU victim is the lowest-indexed block with the minimal stamp
-  (``CacheSet.lru_block`` uses a strict ``<``, so the first minimum
-  wins — ``argmin`` has the same convention);
+  (the reference policies take the first minimum in way order —
+  ``argmin`` has the same convention);
 * helping refusal (``limit == 0``) and the over-budget shed-before-free
   convergence rule (a first-class install into a set strictly over its
   helping budget evicts the LRU helping block even while free ways
@@ -19,7 +19,7 @@ sets at once, including tie-breaks:
 
 ``tests/test_vector_replacement.py`` pins the equivalence against the
 reference policies property-style: random op sequences are driven
-through a real :class:`~repro.cache.cache_set.CacheSet` and through a
+through a one-set :class:`~repro.cache.bank.CacheBank` and through a
 :class:`SetMatrix`, and every ``choose`` must agree, on both the numpy
 and the scalar fallback path.
 

@@ -37,7 +37,7 @@ class TestSelectiveReplication:
         own_bank = system.amap.private_bank(block, 6)
         entry = arch.banks[own_bank].peek(
             system.amap.private_index(block), block)
-        assert entry is not None and entry.meta.get("replica")
+        assert entry is not None and entry.replica
 
     def test_sole_copy_always_kept_locally(self):
         system, arch = build_asr(initial_level=0)
@@ -97,8 +97,8 @@ class TestAdaptation:
         system, arch = build_asr(initial_level=2)
         # Simulate an eviction of core 2's first-class block, then a
         # miss on it again.
-        from repro.cache.block import BlockClass, CacheBlock
-        entry = CacheBlock(block=0x440, cls=BlockClass.PRIVATE, owner=2,
+        from repro.cache.block import BlockClass, L2Line
+        entry = L2Line(block=0x440, cls=BlockClass.PRIVATE, owner=2,
                            tokens=0)
         arch.on_l2_eviction(8, 0, entry, tokens=0, cascade=False)
         before = arch._capacity_recaptures[2]

@@ -1,11 +1,11 @@
 """CacheBank: lookups, statistics, roles, monitor hook."""
 
 from repro.cache.bank import CacheBank, SetRole
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 
 
 def entry(addr, cls=BlockClass.SHARED, owner=-1):
-    return CacheBlock(block=addr, cls=cls, owner=owner, tokens=1)
+    return L2Line(block=addr, cls=cls, owner=owner, tokens=1)
 
 
 class TestLookup:

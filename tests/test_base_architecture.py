@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 from repro.sim.request import Supplier
 
 from tests.util import access, build
@@ -81,10 +81,10 @@ class TestMergeOrAllocate:
         arch = system.architecture
         block = 0x40
         tokens = system.ledger.take_from_memory(block, 4)
-        entry = CacheBlock(block=block, cls=BlockClass.SHARED, tokens=2)
+        entry = L2Line(block=block, cls=BlockClass.SHARED, tokens=2)
         bank = system.amap.shared_bank(block)
         index = system.amap.shared_index(block)
-        assert arch.l2_allocate(bank, index, entry)
+        assert arch.banks[bank].allocate(index, entry)[0]
         assert arch.merge_or_allocate(bank, index, block, BlockClass.SHARED,
                                       -1, 2, dirty=True)
         assert entry.tokens == 4 and entry.dirty

@@ -45,20 +45,20 @@ class TestSpilling:
         blocks = overflow_partition(system, 0, system.config.l2.assoc + 3)
         assert arch.spills >= 1
         spilled = [h for b in blocks for h in system.ledger.l2_holdings(b)
-                   if h.entry.meta.get("spilled")]
+                   if h.spilled]
         assert spilled
         for holding in spilled:
             host = system.amap.owner_of_bank(holding.bank_id)
             assert host != 0
-            assert holding.entry.cls is BlockClass.VICTIM
-            assert holding.entry.owner == 0
+            assert holding.cls is BlockClass.VICTIM
+            assert holding.owner == 0
 
     def test_owner_finds_spilled_block_remotely(self):
         system, arch = build_cc(1.0)
         blocks = overflow_partition(system, 0, system.config.l2.assoc + 3)
         spilled_blocks = [b for b in blocks
                           for h in system.ledger.l2_holdings(b)
-                          if h.entry.meta.get("spilled")]
+                          if h.spilled]
         out = access(system, 0, spilled_blocks[0])
         assert out.supplier is Supplier.L2_REMOTE
         assert arch.spill_hits >= 1
@@ -66,10 +66,10 @@ class TestSpilling:
     def test_one_chance_forwarding(self):
         """A spilled block is never re-spilled (N = 1)."""
         system, arch = build_cc(1.0)
-        from repro.cache.block import CacheBlock
-        entry = CacheBlock(block=0x4420, cls=BlockClass.VICTIM, owner=0,
+        from repro.cache.block import L2Line
+        entry = L2Line(block=0x4420, cls=BlockClass.VICTIM, owner=0,
                            tokens=4)
-        entry.meta["spilled"] = True
+        entry.spilled = True
         system.ledger.take_from_memory(0x4420, 4)
         spills_before = arch.spills
         arch.on_l2_eviction(8, 0, entry, tokens=4, cascade=False)

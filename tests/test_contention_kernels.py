@@ -128,14 +128,15 @@ class TestDeferredServeStats:
         session.l1_hits[2] = 5
         session.l1_misses[2] = 3
         session.flush()
-        assert system._access_count[Supplier.OFFCHIP].value == 3
-        assert system._access_cycles[Supplier.OFFCHIP].value == 900
-        hist = system._access_hist[Supplier.OFFCHIP]
+        offchip = Supplier.OFFCHIP.idx
+        assert system._access_count[offchip].value == 3
+        assert system._access_cycles[offchip].value == 900
+        hist = system._access_hist[offchip]
         assert hist.count == 3 and hist.total == 900
         assert hist.buckets[4] == 3
         assert system.l1s[2].hits == 5
         assert system.l1s[2].misses == 3
         # Flushed arrays are zeroed: a second flush adds nothing.
         session.flush()
-        assert system._access_count[Supplier.OFFCHIP].value == 3
+        assert system._access_count[offchip].value == 3
         assert system.l1s[2].hits == 5

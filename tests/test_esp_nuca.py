@@ -90,7 +90,7 @@ class TestReplicas:
         system = build("esp-nuca")
         block = self._build_replica(system)
         access(system, 1, block, write=True)
-        assert all(h.entry.cls is not BlockClass.REPLICA
+        assert all(h.cls is not BlockClass.REPLICA
                    for h in system.ledger.l2_holdings(block))
 
 
@@ -120,25 +120,25 @@ class TestVictims:
         arch = system.architecture
         victims = [
             (b, h) for b in blocks for h in system.ledger.l2_holdings(b)
-            if h.entry.cls is BlockClass.VICTIM
+            if h.cls is BlockClass.VICTIM
         ]
         assert victims
         for block, holding in victims:
             assert holding.bank_id == system.amap.shared_bank(block)
-            assert holding.entry.owner == 0
+            assert holding.owner == 0
 
     def test_owner_reclaims_victim(self):
         system = build("esp-nuca")
         blocks = self._overflow_private(system)
         victims = [b for b in blocks
                    for h in system.ledger.l2_holdings(b)
-                   if h.entry.cls is BlockClass.VICTIM]
+                   if h.cls is BlockClass.VICTIM]
         block = victims[0]
         out = access(system, 0, block)
         assert out.supplier in (Supplier.L2_SHARED, Supplier.L2_LOCAL)
         assert system.architecture.victim_hits >= 1
         # Swap-back semantics: the victim entry is consumed.
-        assert all(h.entry.cls is not BlockClass.VICTIM
+        assert all(h.cls is not BlockClass.VICTIM
                    for h in system.ledger.l2_holdings(block))
 
     def test_owner_reclaims_victim_on_write(self):
@@ -146,12 +146,12 @@ class TestVictims:
         blocks = self._overflow_private(system)
         victims = [b for b in blocks
                    for h in system.ledger.l2_holdings(b)
-                   if h.entry.cls is BlockClass.VICTIM]
+                   if h.cls is BlockClass.VICTIM]
         block = victims[0]
         out = access(system, 0, block, write=True)
         assert out.supplier in (Supplier.L2_SHARED, Supplier.L2_LOCAL)
         assert system.architecture.victim_hits >= 1
-        assert all(h.entry.cls is not BlockClass.VICTIM
+        assert all(h.cls is not BlockClass.VICTIM
                    for h in system.ledger.l2_holdings(block))
         # A write reclaim must leave the owner exclusive and dirty.
         line = system.l1s[0].lookup(block)
@@ -164,13 +164,13 @@ class TestVictims:
         arch = system.architecture
         victims = [b for b in blocks
                    for h in system.ledger.l2_holdings(b)
-                   if h.entry.cls is BlockClass.VICTIM]
+                   if h.cls is BlockClass.VICTIM]
         block = victims[0]
         access(system, 5, block)
         assert arch.classifier.classify(block) is Classification.SHARED
         # The entry (if still resident) must now be first-class SHARED.
         for holding in system.ledger.l2_holdings(block):
-            assert holding.entry.cls is BlockClass.SHARED
+            assert holding.cls is BlockClass.SHARED
 
 
 class TestReplicaTokenSplit:
@@ -268,9 +268,9 @@ class TestProtection:
         arch = system.architecture
         TestVictims()._overflow_private(system)
         for bank in arch.banks:
-            for index, cache_set in enumerate(bank.sets):
+            for index, helping in enumerate(bank.helping):
                 limit = bank.helping_limit(index)
-                assert cache_set.helping_count <= max(limit, 0) + 1
+                assert helping <= max(limit, 0) + 1
 
     def test_invalid_variant_rejected(self):
         from repro.core.esp_nuca import EspNuca

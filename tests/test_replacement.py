@@ -1,12 +1,12 @@
 """Replacement policies: flat LRU, protected LRU (Section 3.2), static."""
 
 from repro.cache.bank import CacheBank, SetRole
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 from repro.cache.replacement import FlatLru, ProtectedLru, StaticPartition
 
 
 def entry(addr, cls=BlockClass.PRIVATE, owner=0, tokens=1):
-    return CacheBlock(block=addr, cls=cls, owner=owner, tokens=tokens)
+    return L2Line(block=addr, cls=cls, owner=owner, tokens=tokens)
 
 
 def filled_bank(policy, ways=4, nmax=None, roles=None):
@@ -56,7 +56,7 @@ class TestProtectedLru:
         bank.touch(helpers[0])
         _, evicted = bank.allocate(0, entry(5, BlockClass.VICTIM, owner=2))
         assert evicted is helpers[1]
-        assert bank.sets[0].helping_count == 2
+        assert bank.helping[0] == 2
 
     def test_first_class_never_refused(self):
         bank = filled_bank(ProtectedLru(), nmax=0)
@@ -119,8 +119,8 @@ class TestProtectedLru:
         admitted, evicted = bank.allocate(0, entry(2, BlockClass.VICTIM,
                                                    owner=3))
         assert admitted and evicted is first
-        assert bank.sets[0].helping_count == 1
-        assert bank.sets[0].free_way() is not None
+        assert bank.helping[0] == 1
+        assert bank.free_way(0) is not None
 
     def test_over_budget_first_class_converges_with_free_ways(self):
         # Regression: a set left over budget by an nmax decrease used
@@ -135,8 +135,8 @@ class TestProtectedLru:
         bank.touch(helpers[2])
         admitted, evicted = bank.allocate(0, entry(9, BlockClass.PRIVATE))
         assert admitted and evicted is helpers[0]
-        assert bank.sets[0].helping_count == 2
-        assert bank.sets[0].free_way() is not None  # way not burned
+        assert bank.helping[0] == 2
+        assert bank.free_way(0) is not None  # way not burned
 
     def test_over_budget_helping_never_raises_count(self):
         bank = filled_bank(ProtectedLru(), nmax=3)
@@ -145,7 +145,7 @@ class TestProtectedLru:
         bank.nmax = 1
         admitted, evicted = bank.allocate(0, entry(9, BlockClass.REPLICA))
         assert admitted and evicted is not None and evicted.is_helping
-        assert bank.sets[0].helping_count == 3  # unchanged, not 4
+        assert bank.helping[0] == 3  # unchanged, not 4
 
 
 class TestStaticPartition:
@@ -171,8 +171,8 @@ class TestStaticPartition:
         # insertion reclaims the over-quota shared way.
         bank = filled_bank(StaticPartition(private_ways=3))
         shared = [entry(i, BlockClass.SHARED) for i in range(2)]
-        bank.sets[0].install(0, shared[0])
-        bank.sets[0].install(1, shared[1])
+        bank.install(0, 0, shared[0])
+        bank.install(0, 1, shared[1])
         bank.allocate(0, entry(10, BlockClass.PRIVATE))
         bank.allocate(0, entry(11, BlockClass.PRIVATE))
         _, evicted = bank.allocate(0, entry(12, BlockClass.PRIVATE))

@@ -1,12 +1,12 @@
 """Shadow-tag dynamic partitioning (the Figure 4 costly baseline)."""
 
 from repro.cache.bank import CacheBank
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 from repro.cache.shadow import ShadowTagPartition
 
 
 def entry(addr, cls, owner=0):
-    return CacheBlock(block=addr, cls=cls, owner=owner, tokens=1)
+    return L2Line(block=addr, cls=cls, owner=owner, tokens=1)
 
 
 def make_bank(ways=4):

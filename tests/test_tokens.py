@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.block import BlockClass, CacheBlock
+from repro.cache.block import BlockClass, L2Line
 from repro.cache.l1 import L1Line
 from repro.coherence.tokens import TokenConservationError, TokenLedger
 
@@ -61,8 +61,10 @@ class TestL2Holdings:
     def test_register_take_and_drop(self):
         led = ledger()
         tokens = led.take_from_memory(0x20)
-        entry = CacheBlock(block=0x20, cls=BlockClass.SHARED, tokens=tokens)
-        led.register_l2(0x20, bank_id=3, set_index=7, entry=entry)
+        entry = L2Line(block=0x20, cls=BlockClass.SHARED, tokens=tokens)
+        # The line is its own holding record: it carries its location.
+        entry.bank_id, entry.set_index = 3, 7
+        led.register_l2(0x20, entry)
         holdings = led.l2_holdings(0x20)
         assert len(holdings) == 1 and holdings[0].bank_id == 3
         led.take_from_l2(0x20, entry, 1)
@@ -74,11 +76,11 @@ class TestL2Holdings:
         # ESP-NUCA: a shared entry and a replica coexist.
         led = ledger()
         led.take_from_memory(0x20)
-        shared = CacheBlock(block=0x20, cls=BlockClass.SHARED, tokens=10)
-        replica = CacheBlock(block=0x20, cls=BlockClass.REPLICA, owner=1,
-                             tokens=6)
-        led.register_l2(0x20, 0, 0, shared)
-        led.register_l2(0x20, 5, 0, replica)
+        shared = L2Line(block=0x20, cls=BlockClass.SHARED, tokens=10)
+        replica = L2Line(block=0x20, cls=BlockClass.REPLICA, owner=1,
+                         tokens=6)
+        led.register_l2(0x20, shared)
+        led.register_l2(0x20, replica)
         assert len(led.l2_holdings(0x20)) == 2
         led.check_block(0x20)
 

@@ -4,9 +4,9 @@ decision — including protected-LRU refusal, the over-budget
 shed-before-free convergence rule, and every tie-break.
 
 Strategy: drive the same seeded random op sequence (install / touch /
-evict / reclassify / budget change) through a real
-:class:`~repro.cache.cache_set.CacheSet` guarded by the reference
-policy, and through a :class:`~repro.sim.vector.replacement.SetMatrix`;
+evict / reclassify / budget change) through a one-set
+:class:`~repro.cache.bank.CacheBank` guarded by the reference policy,
+and through a :class:`~repro.sim.vector.replacement.SetMatrix`;
 at every install the chosen way must agree, on both the numpy batch
 path and the scalar fallback.
 """
@@ -17,8 +17,8 @@ import random
 
 import pytest
 
-from repro.cache.block import BlockClass, CacheBlock
-from repro.cache.cache_set import CacheSet
+from repro.cache.bank import CacheBank
+from repro.cache.block import BlockClass, L2Line
 from repro.cache.replacement import FlatLru, ProtectedLru
 from repro.sim.vector.replacement import (REFUSED, SetMatrix, choose_flat,
                                           choose_protected)
@@ -28,21 +28,14 @@ HELPING_CLASSES = (BlockClass.REPLICA, BlockClass.VICTIM)
 FIRST_CLASSES = (BlockClass.PRIVATE, BlockClass.SHARED)
 
 
-class _StubBank:
-    """The slice of CacheBank that ProtectedLru consumes."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-
-    def helping_limit(self, set_index: int) -> int:
-        return self.limit
-
-
 class _Harness:
-    """One set mirrored in both representations, plus a stamp counter."""
+    """One set mirrored in both representations, plus a stamp counter.
+    The bank's ``nmax`` is the set's helping budget (its one set has
+    the normal role)."""
 
-    def __init__(self) -> None:
-        self.cache_set = CacheSet(WAYS)
+    def __init__(self, policy, limit: int) -> None:
+        self.bank = CacheBank(0, num_sets=1, ways=WAYS, policy=policy)
+        self.bank.nmax = limit
         self.matrix = SetMatrix(1, WAYS)
         self.stamp = 0
         self.next_block = 0
@@ -51,37 +44,38 @@ class _Harness:
         self.stamp += 1
         return self.stamp
 
-    def fresh_block(self, cls: BlockClass) -> CacheBlock:
+    def fresh_block(self, cls: BlockClass) -> L2Line:
         self.next_block += 1
-        return CacheBlock(block=self.next_block, cls=cls,
+        return L2Line(block=self.next_block, cls=cls,
                           owner=-1 if cls is BlockClass.SHARED else 0)
 
-    def install(self, way: int, entry: CacheBlock) -> None:
+    def install(self, way: int, entry: L2Line) -> None:
         entry.lru = self.tick()
-        self.cache_set.install(way, entry)
+        self.bank.install(0, way, entry)
         self.matrix.install(0, way, entry.is_helping, entry.lru)
 
     def valid_ways(self):
-        return [w for w, e in enumerate(self.cache_set.blocks)
-                if e is not None]
+        return [w for w, e in enumerate(self.bank.lines[0]) if e is not None]
 
 
-def _agreeing_choice(harness: _Harness, policy, bank, entry: CacheBlock):
+def _agreeing_choice(harness: _Harness, policy, entry: L2Line):
     """The reference policy's choice, asserted equal on both batch paths."""
-    ref = policy.choose(harness.cache_set, entry, bank, 0)
+    bank = harness.bank
+    limit = bank.helping_limit(0)
+    ref = policy.choose(bank, 0, entry.cls)
     if isinstance(policy, FlatLru):
         batch = choose_flat(harness.matrix, [0])[0]
         scalar = choose_flat(harness.matrix, [0], force_scalar=True)[0]
     else:
         batch = choose_protected(harness.matrix, [0], [entry.is_helping],
-                                 [bank.limit])[0]
+                                 [limit])[0]
         scalar = choose_protected(harness.matrix, [0], [entry.is_helping],
-                                  [bank.limit], force_scalar=True)[0]
+                                  [limit], force_scalar=True)[0]
     expected = REFUSED if ref is None else ref
     assert batch == expected, (
         f"numpy path chose way {batch}, reference chose {ref} "
-        f"(limit {bank.limit}, helping incoming {entry.is_helping}, "
-        f"n {harness.cache_set.helping_count})")
+        f"(limit {limit}, helping incoming {entry.is_helping}, "
+        f"n {bank.helping[0]})")
     assert scalar == expected, (
         f"scalar path chose way {scalar}, reference chose {ref}")
     return ref
@@ -89,8 +83,8 @@ def _agreeing_choice(harness: _Harness, policy, bank, entry: CacheBlock):
 
 def _random_walk(seed: int, policy, limits) -> int:
     rng = random.Random(seed)
-    harness = _Harness()
-    bank = _StubBank(rng.choice(limits))
+    harness = _Harness(policy, rng.choice(limits))
+    bank = harness.bank
     installs = 0
     for _ in range(400):
         op = rng.random()
@@ -99,9 +93,9 @@ def _random_walk(seed: int, policy, limits) -> int:
                        and rng.random() < 0.5)
             cls = rng.choice(HELPING_CLASSES if helping else FIRST_CLASSES)
             entry = harness.fresh_block(cls)
-            way = _agreeing_choice(harness, policy, bank, entry)
+            way = _agreeing_choice(harness, policy, entry)
             if way is None:
-                assert entry.is_helping and bank.limit == 0
+                assert entry.is_helping and bank.helping_limit(0) == 0
                 continue
             harness.install(way, entry)
             installs += 1
@@ -110,13 +104,13 @@ def _random_walk(seed: int, policy, limits) -> int:
             if ways:
                 way = rng.choice(ways)
                 stamp = harness.tick()
-                harness.cache_set.blocks[way].lru = stamp
+                bank.lines[0][way].lru = stamp
                 harness.matrix.touch(0, way, stamp)
         elif op < 0.85:  # evict a resident block
             ways = harness.valid_ways()
             if ways:
                 way = rng.choice(ways)
-                harness.cache_set.remove(harness.cache_set.blocks[way])
+                bank.remove(0, bank.lines[0][way])
                 harness.matrix.evict(0, way)
         elif op < 0.92 and isinstance(policy, ProtectedLru):
             # Reclassify: flips helping-ness, so a later budget change
@@ -124,15 +118,14 @@ def _random_walk(seed: int, policy, limits) -> int:
             ways = harness.valid_ways()
             if ways:
                 way = rng.choice(ways)
-                entry = harness.cache_set.blocks[way]
+                entry = bank.lines[0][way]
                 new_cls = rng.choice(
                     FIRST_CLASSES if entry.is_helping else HELPING_CLASSES)
-                harness.cache_set.reclassify(entry, new_cls)
+                bank.reclassify(0, entry, new_cls)
                 harness.matrix.reclassify(0, way, entry.is_helping)
         else:  # budget change (nmax duel moves / set-role changes)
-            bank.limit = rng.choice(limits)
-        assert (harness.cache_set.helping_count
-                == harness.matrix.helping_count(0))
+            bank.nmax = rng.choice(limits)
+        assert bank.helping[0] == harness.matrix.helping_count(0)
     return installs
 
 

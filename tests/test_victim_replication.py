@@ -75,7 +75,7 @@ class TestReplication:
         access(system, core, block)
         evict_from_l1(system, core, block)
         access(system, 2, block, write=True)
-        assert all(h.entry.cls is not BlockClass.REPLICA
+        assert all(h.cls is not BlockClass.REPLICA
                    for h in system.ledger.l2_holdings(block))
 
     def test_registry_exposes_vr_and_qos(self):

@@ -38,11 +38,11 @@ class TestUpgrades:
         access(system, 3, block)          # demote to shared
         access(system, core, block)       # reuse bit
         evict_from_l1(system, core, block)  # replica + sb entry
-        assert any(h.entry.cls is BlockClass.REPLICA
+        assert any(h.cls is BlockClass.REPLICA
                    for h in system.ledger.l2_holdings(block))
         # The *other* core writes: replica must die.
         access(system, 3, block, write=True)
-        assert all(h.entry.cls is not BlockClass.REPLICA
+        assert all(h.cls is not BlockClass.REPLICA
                    for h in system.ledger.l2_holdings(block))
         assert system.l1s[3].lookup(block).tokens == \
             system.ledger.total_tokens
@@ -91,7 +91,7 @@ class TestDirtyPropagation:
         access(system, 0, block, write=True)
         evict_from_l1(system, 0, block)     # dirty entry in L2
         holding = system.ledger.l2_holdings(block)[0]
-        assert holding.entry.dirty
+        assert holding.dirty
         access(system, 4, block)            # sole copy moves to L1(4)
         line = system.l1s[4].lookup(block, touch=False)
         assert line is not None and line.dirty
@@ -104,5 +104,5 @@ class TestDirtyPropagation:
             access(system, 0, b, write=True)
             evict_from_l1(system, 0, b)
         victims = [h for b in blocks for h in system.ledger.l2_holdings(b)
-                   if h.entry.cls is BlockClass.VICTIM]
-        assert victims and all(v.entry.dirty for v in victims)
+                   if h.cls is BlockClass.VICTIM]
+        assert victims and all(v.dirty for v in victims)
