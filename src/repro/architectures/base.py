@@ -76,6 +76,9 @@ class NucaArchitecture:
         for bank in self.banks:
             bank.bind(self)
         self._bank_busy = [0] * len(self.banks)
+        l2 = self.config.l2
+        self._tag_occupancy = l2.tag_latency
+        self._hit_occupancy = l2.tag_latency + l2.access_latency
         # Dense geometry tables: router_of_core is the identity on this
         # mesh and router_of_bank a division, but both sit on the
         # per-miss hot path — flatten to list lookups.
@@ -213,20 +216,22 @@ class NucaArchitecture:
         capped at a few services to bound out-of-time-order skew (see
         Network.arrival).
         """
-        cfg = self.config.l2
-        occupancy = cfg.tag_latency + (cfg.access_latency if hit else 0)
+        occupancy = self._hit_occupancy if hit else self._tag_occupancy
         ready = self._bank_busy[bank_id]
         start = t_arrive
         if ready > start:
-            start += min(ready - start, 4 * occupancy)
-        self._bank_busy[bank_id] = max(ready, start + occupancy)
+            skew = ready - start
+            cap = 4 * occupancy
+            start += skew if skew < cap else cap
+        end = start + occupancy
+        self._bank_busy[bank_id] = ready if ready > end else end
         ctx = self._trace_ctx
         if ctx is not None and ctx.tracer.wants("l2"):
             ctx.tracer.complete(
                 "l2", "bank hit" if hit else "bank miss", ts=start,
                 dur=occupancy, pid=ctx.pid, tid=f"bank{bank_id}",
                 args={"wait": start - t_arrive} if start > t_arrive else None)
-        return start + occupancy
+        return end
 
     def fetch_offchip(self, dispatch_router: int, t_dispatch: int,
                       dest_router: int) -> int:

@@ -44,7 +44,8 @@ class L1Cache:
         # invalidate transitions; None (the default) costs one attribute
         # test on the fill/invalidate paths only.
         self.journal = None
-        # Statistics scope, mounted at ``l1.core<i>`` by the system.
+        # Statistics scope, mounted at ``l1.core<i>`` by the system,
+        # which counts demand hits and misses and flushes them here.
         self.stats = Scope()
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
@@ -58,15 +59,6 @@ class L1Cache:
             self._stamp += 1
             line.lru = self._stamp
             line.reused = True
-        return line
-
-    def access(self, block: int) -> Optional[L1Line]:
-        """Demand access: updates hit/miss statistics."""
-        line = self.lookup(block)
-        if line is None:
-            self._misses.value += 1
-        else:
-            self._hits.value += 1
         return line
 
     def fill(self, block: int, tokens: int, dirty: bool
@@ -123,14 +115,6 @@ class L1Cache:
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
 
     def reset_stats(self) -> None:
         self.stats.reset()

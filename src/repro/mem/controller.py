@@ -10,7 +10,9 @@ Per-controller statistics (``demand``, ``writebacks``, ``queueing``)
 live in each controller's :class:`~repro.common.statsreg.Scope`; the
 :class:`MemorySystem` mounts them as ``mc<i>`` under its own scope,
 which the system mounts at ``mem`` — so a skewed controller (one mesh
-edge absorbing most of the off-chip traffic) is visible per run.
+edge absorbing most of the off-chip traffic) is visible per run. The
+timing methods count into plain integers that :meth:`MemoryController.
+flush` lands in those counters.
 """
 
 from __future__ import annotations
@@ -24,29 +26,37 @@ from repro.common.statsreg import Scope
 class MemoryController:
     """A single controller: busy-until queue + fixed latency."""
 
-    def __init__(self, latency: int, occupancy: int) -> None:
-        self.latency = latency
-        self.occupancy = occupancy
-        self._busy_until = 0
-        self.stats = Scope()
-        self._requests = self.stats.counter("demand")
-        self._writebacks = self.stats.counter("writebacks")
-        self._queueing = self.stats.counter("queueing")
-
     #: Bound on the queueing a request can be charged (in services);
     #: caps phantom waits from out-of-time-order reservations (see
     #: Network.arrival) while keeping the bandwidth wall.
     MAX_QUEUE_SERVICES = 8
 
+    def __init__(self, latency: int, occupancy: int) -> None:
+        self.latency = latency
+        self.occupancy = occupancy
+        self._cap = self.MAX_QUEUE_SERVICES * occupancy
+        self._busy_until = 0
+        self.stats = Scope()
+        self._requests = self.stats.counter("demand")
+        self._writebacks = self.stats.counter("writebacks")
+        self._queueing = self.stats.counter("queueing")
+        # Statistics counted flat, landed in the registry by flush().
+        self._n_demand = 0
+        self._n_writebacks = 0
+        self._n_queueing = 0
+
     def service(self, arrive: int) -> int:
         """Admit a demand request at ``arrive``; return data-ready time."""
         start = arrive
-        if self._busy_until > start:
-            start += min(self._busy_until - start,
-                         self.MAX_QUEUE_SERVICES * self.occupancy)
-        self._queueing.value += start - arrive
-        self._busy_until = max(self._busy_until, start + self.occupancy)
-        self._requests.value += 1
+        ready = self._busy_until
+        if ready > start:
+            skew = ready - start
+            cap = self._cap
+            start += skew if skew < cap else cap
+            self._n_queueing += start - arrive
+        end = start + self.occupancy
+        self._busy_until = ready if ready > end else end
+        self._n_demand += 1
         return start + self.latency
 
     def post_writeback(self, arrive: int) -> None:
@@ -57,25 +67,24 @@ class MemoryController:
         would chain writebacks onto a future-stamped frontier forever.
         """
         start = arrive
-        if self._busy_until > start:
-            start += min(self._busy_until - start,
-                         self.MAX_QUEUE_SERVICES * self.occupancy)
-        self._busy_until = max(self._busy_until, start + self.occupancy)
-        self._writebacks.value += 1
+        ready = self._busy_until
+        if ready > start:
+            skew = ready - start
+            cap = self._cap
+            start += skew if skew < cap else cap
+        end = start + self.occupancy
+        self._busy_until = ready if ready > end else end
+        self._n_writebacks += 1
 
-    @property
-    def requests(self) -> int:
-        return self._requests.value
-
-    @property
-    def writebacks(self) -> int:
-        return self._writebacks.value
-
-    @property
-    def total_queueing(self) -> int:
-        return self._queueing.value
+    def flush(self) -> None:
+        """Land the flat counts in the registry counters and zero them."""
+        self._requests.value += self._n_demand
+        self._writebacks.value += self._n_writebacks
+        self._queueing.value += self._n_queueing
+        self._n_demand = self._n_writebacks = self._n_queueing = 0
 
     def reset_stats(self) -> None:
+        self.flush()
         self.stats.reset()
 
 
@@ -94,13 +103,10 @@ class MemorySystem:
     def controller(self, index: int) -> MemoryController:
         return self.controllers[index]
 
-    @property
-    def demand_requests(self) -> int:
-        return sum(c.requests for c in self.controllers)
-
-    @property
-    def writebacks(self) -> int:
-        return sum(c.writebacks for c in self.controllers)
+    def flush(self) -> None:
+        for controller in self.controllers:
+            controller.flush()
 
     def reset_stats(self) -> None:
+        self.flush()
         self.stats.reset()

@@ -1,14 +1,12 @@
-"""On-chip message descriptors.
+"""On-chip message kinds and their flit counts.
 
-Messages are bookkeeping records for the timing layer: the functional
-layer resolves what happens, while ``Message`` objects carry latency
-accounting and let the network model charge per-hop contention.
+The functional layer resolves what happens; the timing layer charges
+each message by its kind (:meth:`repro.noc.network.Network.arrival`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 
 class MessageKind(enum.Enum):
@@ -36,18 +34,3 @@ FLITS = {
 for _i, _kind in enumerate(MessageKind):
     _kind.idx = _i
     _kind.flits = FLITS[_kind]
-
-
-@dataclass
-class Message:
-    kind: MessageKind
-    src_router: int
-    dst_router: int
-    depart: int
-    arrive: int = 0
-    hops: int = 0
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def flits(self) -> int:
-        return FLITS[self.kind]

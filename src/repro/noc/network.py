@@ -15,20 +15,22 @@ Statistics live in the network's :class:`~repro.common.statsreg.Scope`
 / ``hops`` / ``queueing``, per-kind counts under ``kinds.<kind>``, and
 per-directed-link traffic under ``links.r<src>-r<dst>`` (``messages`` +
 ``queueing``) — the breakdown that shows *where* the mesh saturates.
+``arrival`` counts into flat per-route and per-link arrays, which
+:meth:`Network.flush` lands in those counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.statsreg import Counter, Scope
-from repro.noc.message import FLITS, Message, MessageKind
+from repro.noc.message import MessageKind
 from repro.noc.topology import MeshTopology
 
 
 class Network:
-    """Mesh timing: ``deliver`` computes the arrival time of a message."""
+    """Mesh timing: ``arrival`` computes the arrival time of a message."""
 
     def __init__(self, config: SystemConfig, topology: MeshTopology | None = None,
                  model_contention: bool = True) -> None:
@@ -36,11 +38,10 @@ class Network:
         self.topology = topology or MeshTopology(config)
         self.hop_latency = config.noc.hop_latency
         self.model_contention = model_contention
-        # Per (src, dst) pair: the tuple of directed links of the DOR
-        # route — precomputed, the timing layer walks one per message.
         n = self.topology.num_routers
-        self._links = [[self._route_links(s, d) for d in range(n)]
-                       for s in range(n)]
+        self._n_routers = n
+        links = [[self._route_links(s, d) for d in range(n)]
+                 for s in range(n)]
         # Statistics.
         self.stats = Scope()
         self._messages = self.stats.counter("messages")
@@ -48,113 +49,115 @@ class Network:
         self._hops = self.stats.counter("hops")
         self._queueing = self.stats.counter("queueing")
         kind_scope = self.stats.scope("kinds")
-        self._kind_counts: Dict[MessageKind, Counter] = {
-            k: kind_scope.counter(k.name.lower()) for k in MessageKind}
-        # Every directed link any DOR route uses, in a stable order.
+        self._kind_counts: List[Counter] = [
+            kind_scope.counter(k.name.lower()) for k in MessageKind]
+        # Every directed link any DOR route uses gets a dense id (in a
+        # stable order) indexing its busy-until slot and its
+        # (messages, queueing) counters.
         link_scope = self.stats.scope("links")
-        self._link_stats: Dict[Tuple[int, int], Tuple[Counter, Counter]] = {}
+        link_ids: Dict[Tuple[int, int], int] = {}
+        self._link_counters: List[Tuple[Counter, Counter]] = []
         for src in range(n):
             for dst in range(n):
-                for link in self._links[src][dst]:
-                    if link not in self._link_stats:
+                for link in links[src][dst]:
+                    if link not in link_ids:
+                        link_ids[link] = len(link_ids)
                         ls = link_scope.scope(f"r{link[0]}-r{link[1]}")
-                        self._link_stats[link] = (ls.counter("messages"),
-                                                  ls.counter("queueing"))
-        # Per-route latency tables (docs/performance.md): each directed
-        # link gets a dense integer id into a busy-until list, and each
-        # (src, dst) route becomes a tuple of (link id, message counter,
-        # queueing counter) triplets — ``arrival`` then walks plain
-        # tuples and list slots instead of hashing link keys per hop.
-        link_ids = {link: i for i, link in enumerate(self._link_stats)}
+                        self._link_counters.append((ls.counter("messages"),
+                                                    ls.counter("queueing")))
+        # Per (src, dst) pair: the link ids of the DOR route, walked by
+        # ``arrival`` once per message.
+        self._routes = [[tuple(link_ids[link] for link in links[s][d])
+                         for d in range(n)] for s in range(n)]
         self._link_busy = [0] * len(link_ids)
-        self._route_stats = [
-            [tuple((link_ids[link],) + self._link_stats[link]
-                   for link in self._links[s][d]) for d in range(n)]
-            for s in range(n)]
+        # Statistics are counted flat and landed in the registry by
+        # flush(): per message kind a row of counts indexed
+        # ``src * n + dst`` (expanded along each route at flush time),
+        # and per link the queueing charged.
+        self._route_counts = [[0] * (n * n) for _ in MessageKind]
+        self._link_queue = [0] * len(link_ids)
 
     def _route_links(self, src: int, dst: int) -> Tuple[Tuple[int, int], ...]:
         route = self.topology.dor_route(src, dst)
         return tuple(zip(route[:-1], route[1:]))
 
-    # -- legacy attribute API (reads through to the registry) ---------------
+    def flush(self) -> None:
+        """Land the flat counts in the registry counters and zero them.
 
-    @property
-    def messages_sent(self) -> int:
-        return self._messages.value
-
-    @property
-    def flits_sent(self) -> int:
-        return self._flits.value
-
-    @property
-    def total_hops(self) -> int:
-        return self._hops.value
-
-    @property
-    def total_queueing(self) -> int:
-        return self._queueing.value
-
-    @property
-    def kind_counts(self) -> Dict[MessageKind, int]:
-        return {k: c.value for k, c in self._kind_counts.items()}
+        Counter additions commute, so the totals equal what per-message
+        counting would have left; readers go through the system's flush
+        points (``CmpSystem.reset_stats`` / ``result`` / ``finalize``).
+        """
+        n = self._n_routers
+        routes = self._routes
+        link_counters = self._link_counters
+        messages = flits = hops_total = 0
+        for kind in MessageKind:
+            row = self._route_counts[kind.idx]
+            kind_total = 0
+            for pair, count in enumerate(row):
+                if not count:
+                    continue
+                row[pair] = 0
+                src, dst = divmod(pair, n)
+                route = routes[src][dst]
+                kind_total += count
+                hops_total += len(route) * count
+                flits += kind.flits * len(route) * count
+                for link_id in route:
+                    link_counters[link_id][0].value += count
+            if kind_total:
+                messages += kind_total
+                self._kind_counts[kind.idx].value += kind_total
+        if messages:
+            self._messages.value += messages
+            self._flits.value += flits
+            self._hops.value += hops_total
+        link_queue = self._link_queue
+        for link_id, wait in enumerate(link_queue):
+            if wait:
+                link_counters[link_id][1].value += wait
+                self._queueing.value += wait
+                link_queue[link_id] = 0
 
     def reset_stats(self) -> None:
+        self.flush()
         self.stats.reset()
 
     def latency(self, src_router: int, dst_router: int) -> int:
         """Uncontended latency between two routers."""
         return self.hop_latency * self.topology.hops(src_router, dst_router)
 
-    def deliver(self, kind: MessageKind, src_router: int, dst_router: int,
-                depart: int) -> Message:
-        """Route a message and return it with ``arrive`` filled in."""
-        msg = Message(kind=kind, src_router=src_router, dst_router=dst_router,
-                      depart=depart)
-        msg.hops = self.topology.hops(src_router, dst_router)
-        msg.arrive = self.arrival(kind, src_router, dst_router, depart)
-        return msg
-
     def arrival(self, kind: MessageKind, src_router: int, dst_router: int,
                 depart: int) -> int:
-        """Arrival time of a message (the timing layer's fast path)."""
-        route = self._route_stats[src_router][dst_router]
-        hops = len(route)
-        flits = FLITS[kind]
+        """Arrival time of a message departing ``src_router`` at ``depart``."""
+        route = self._routes[src_router][dst_router]
         now = depart
-        if self.model_contention and hops:
+        if self.model_contention:
             # Per-link serialization with a bounded wait: the simulator
             # orders events at reference granularity, so reservations
             # can be stamped out of time order; an uncapped busy-until
             # would then charge phantom waits against earlier-stamped
             # traffic. The cap (a few messages' worth of flits) keeps
             # genuine burst serialization while bounding the skew error.
+            # A later reservation already on the link is kept.
             busy = self._link_busy
             hop_latency = self.hop_latency
-            queue = 0
+            flits = kind.flits
             cap = 4 * flits
-            for link_id, msg_c, queue_c in route:
-                msg_c.value += 1
+            for link_id in route:
                 ready = busy[link_id]
                 if ready > now:
                     wait = ready - now
                     if wait > cap:
                         wait = cap
-                    queue += wait
-                    queue_c.value += wait
+                    self._link_queue[link_id] += wait
                     now += wait
-                if ready > now + flits:
-                    busy[link_id] = ready  # keep the later reservation
-                else:
-                    busy[link_id] = now + flits
+                end = now + flits
+                busy[link_id] = ready if ready > end else end
                 now += hop_latency
-            self._queueing.value += queue
         else:
-            now += self.hop_latency * hops
-            if hops:
-                for _, msg_c, _ in route:
-                    msg_c.value += 1
-        self._messages.value += 1
-        self._flits.value += flits * hops
-        self._hops.value += hops
-        self._kind_counts[kind].value += 1
+            now += self.hop_latency * len(route)
+        self._route_counts[kind.idx][src_router * self._n_routers
+                                     + dst_router] += 1
         return now

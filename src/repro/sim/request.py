@@ -18,7 +18,7 @@ class Supplier(enum.Enum):
 
 
 # Dense per-member index for hot paths (flat per-supplier arrays in
-# the vectorized engine's contention session).
+# the system's demand-access counts, indexed by both engines).
 for _i, _supplier in enumerate(Supplier):
     _supplier.idx = _i
 

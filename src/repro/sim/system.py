@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, List
 from repro.cache.l1 import L1Cache, L1Line
 from repro.common.addresses import AddressMap
 from repro.common.config import CheckConfig, SystemConfig
-from repro.common.statsreg import Counter, Histogram, StatsRegistry
+from repro.common.statsreg import (_HIST_BUCKETS, Counter, Histogram,
+                                    StatsRegistry)
 from repro.mem.controller import MemorySystem
 from repro.noc.network import Network
 from repro.noc.topology import MeshTopology
@@ -93,6 +94,14 @@ class CmpSystem:
             self._access_count.append(sub.counter("count"))
             self._access_cycles.append(sub.counter("cycles"))
             self._access_hist.append(sub.histogram("latency"))
+        # Both engines count demand accesses here, flat, and flush()
+        # lands the counts in the registry: per supplier one record
+        # ``[count, cycles, histogram bucket 0, bucket 1, ...]``, and
+        # per core the L1 hits and misses.
+        self._access_rec: List[List[int]] = [
+            [0] * (2 + _HIST_BUCKETS) for _ in Supplier]
+        self._l1_hits = [0] * config.num_cores
+        self._l1_misses = [0] * config.num_cores
         # Event tracing (docs/observability.md, "Tracing"): the tracer
         # active at construction time is captured so the hot path pays
         # exactly one attribute check when tracing is off. Set before
@@ -167,9 +176,9 @@ class CmpSystem:
 
     def _serve_access(self, core: int, block: int, is_write: bool,
                       t_issue: int) -> AccessOutcome:
-        l1 = self.l1s[core]
-        line = l1.access(block)
+        line = self.l1s[core].lookup(block)
         if line is not None:
+            self._l1_hits[core] += 1
             t_done = t_issue + self.config.l1.access_latency
             if is_write:
                 if line.tokens < self.ledger.total_tokens:
@@ -178,6 +187,7 @@ class CmpSystem:
                 line.dirty = True
             self._record_access(Supplier.L1_LOCAL, t_done - t_issue)
             return AccessOutcome(t_done, Supplier.L1_LOCAL)
+        self._l1_misses[core] += 1
         t_miss = t_issue + self.config.l1.tag_latency
         t_done, supplier = self.architecture.handle_miss(core, block,
                                                          is_write, t_miss)
@@ -210,10 +220,13 @@ class CmpSystem:
         return self._serve_access(core, block, is_write, t_issue)
 
     def _record_access(self, supplier: Supplier, latency: int) -> None:
-        idx = supplier.idx
-        self._access_count[idx].value += 1
-        self._access_cycles[idx].value += latency
-        self._access_hist[idx].record(latency)
+        rec = self._access_rec[supplier.idx]
+        rec[0] += 1
+        rec[1] += latency
+        bucket = latency.bit_length() + 2
+        if bucket >= len(rec):
+            bucket = len(rec) - 1
+        rec[bucket] += 1
 
     # -- helpers used by architectures ---------------------------------------------
 
@@ -263,43 +276,87 @@ class CmpSystem:
         # Both copy lists were empty above: no copy is left on chip.
         self.architecture.on_block_left_chip(block)
 
+    def flush(self) -> None:
+        """Land every flat count in the registry counters.
+
+        The timing methods and the demand-access path count into flat
+        arrays (docs/engine.md, "Contention timing"); this is the one
+        place they reach the registry. It runs at the only points that
+        read the registry — :meth:`reset_stats`, :attr:`result` and
+        :meth:`finalize` — and is idempotent.
+        """
+        self.network.flush()
+        self.memory.flush()
+        for idx, rec in enumerate(self._access_rec):
+            count = rec[0]
+            if not count:
+                continue
+            cycles = rec[1]
+            self._access_count[idx].value += count
+            self._access_cycles[idx].value += cycles
+            hist = self._access_hist[idx]
+            hist.count += count
+            hist.total += cycles
+            buckets = hist.buckets
+            for i in range(_HIST_BUCKETS):
+                if rec[2 + i]:
+                    buckets[i] += rec[2 + i]
+                    rec[2 + i] = 0
+            rec[0] = rec[1] = 0
+        hits = self._l1_hits
+        misses = self._l1_misses
+        for core, l1 in enumerate(self.l1s):
+            l1._hits.value += hits[core]
+            l1._misses.value += misses[core]
+            hits[core] = misses[core] = 0
+
     def reset_stats(self) -> None:
         """Clear all statistics while keeping cache/coherence state —
         used to exclude the warm-up phase from measurements.
 
-        One registry walk: every mounted component scope (banks, L1s,
+        One flush, so no warm-up count is left to land later, then one
+        registry walk: every mounted component scope (banks, L1s,
         links, controllers, token ledger, duel controller, policy
         counters) is zeroed, so a newly added component cannot be
         forgotten here. Mechanism state (duel EMAs, ``nmax``, ASR
         levels) is deliberately *not* stored in the registry and
         survives — resetting it would change simulated behaviour.
         """
+        self.flush()
         self.stats.reset()
 
     # -- snapshots ---------------------------------------------------------------------
 
     @property
     def result(self) -> SimResult:
-        """Live aggregate view of the registry (cheap, rebuilt per read).
+        """Live aggregate view of the registry (cheap, rebuilt per read;
+        flushes first).
 
         Timing totals (``cycles``/``instructions``) belong to the
         engine and appear only in the result built by :meth:`finalize`.
         """
+        self.flush()
+        get = self.stats.get
         result = SimResult(architecture=self.architecture.name)
         result.supplier_count = {s: self._access_count[s.idx].value
                                  for s in Supplier}
         result.supplier_cycles = {s: self._access_cycles[s.idx].value
                                   for s in Supplier}
         result.memory_accesses = sum(result.supplier_count.values())
-        result.l1_hits = sum(l1.hits for l1 in self.l1s)
-        result.l1_misses = sum(l1.misses for l1 in self.l1s)
+        cores = range(len(self.l1s))
+        result.l1_hits = sum(get(f"l1.core{c}.hits").value for c in cores)
+        result.l1_misses = sum(get(f"l1.core{c}.misses").value
+                               for c in cores)
         for bank in self.architecture.banks:
             result.l2_hits += bank.total_hits
             result.l2_demand_lookups += bank.total_hits + bank.misses
-        result.offchip_demand = self.memory.demand_requests
-        result.offchip_writebacks = self.memory.writebacks
-        result.noc_messages = self.network.messages_sent
-        result.noc_queueing = self.network.total_queueing
+        mcs = range(len(self.memory.controllers))
+        result.offchip_demand = sum(get(f"mem.mc{i}.demand").value
+                                    for i in mcs)
+        result.offchip_writebacks = sum(get(f"mem.mc{i}.writebacks").value
+                                        for i in mcs)
+        result.noc_messages = get("noc.messages").value
+        result.noc_queueing = get("noc.queueing").value
         return result
 
     # -- end-of-run aggregation -------------------------------------------------------

@@ -101,5 +101,4 @@ class TestCapacityIsolation:
             if system.architecture.banks[amap.private_bank(b, 0)].peek(
                 amap.private_index(b), b) is not None)
         assert resident <= assoc
-        assert system.result.offchip_writebacks + \
-            system.memory.writebacks >= 0  # tokens returned cleanly
+        assert system.result.offchip_writebacks >= 0  # tokens returned cleanly

@@ -5,11 +5,17 @@ from repro.cache.l1 import L1Cache
 
 class TestBasics:
     def test_hit_miss_counters(self):
-        l1 = L1Cache(0, num_sets=2, assoc=2)
-        assert l1.access(0x10) is None
-        l1.fill(0x10, tokens=1, dirty=False)
-        assert l1.access(0x10) is not None
-        assert (l1.hits, l1.misses) == (1, 1)
+        # Demand hits and misses are counted by the system and flushed
+        # into the L1's own scope.
+        from tests.util import build
+
+        system = build("shared", check_tokens=False)
+        system.access(0, 0x10, False, 0)
+        system.access(0, 0x10, False, 1000)
+        system.flush()
+        l1 = system.l1s[0]
+        assert (l1.stats.get("hits").value,
+                l1.stats.get("misses").value) == (1, 1)
 
     def test_set_isolation(self):
         l1 = L1Cache(0, num_sets=2, assoc=1)
@@ -67,5 +73,5 @@ class TestReuseBit:
     def test_hit_sets_reused(self):
         l1 = L1Cache(0, num_sets=1, assoc=2)
         line, _, _ = l1.fill(1, 1, False)
-        l1.access(1)
+        l1.lookup(1)
         assert line.reused

@@ -4,6 +4,12 @@ from repro.common.config import SystemConfig
 from repro.mem.controller import MemoryController, MemorySystem
 
 
+def stat(component, path: str) -> int:
+    """A controller statistic as the registry holds it after a flush."""
+    component.flush()
+    return component.stats.get(path).value
+
+
 class TestController:
     def test_uncontended_latency(self):
         mc = MemoryController(latency=350, occupancy=20)
@@ -13,7 +19,7 @@ class TestController:
         mc = MemoryController(latency=350, occupancy=20)
         assert mc.service(0) == 350
         assert mc.service(0) == 370  # queued behind one occupancy
-        assert mc.requests == 2
+        assert stat(mc, "demand") == 2
 
     def test_queueing_bounded(self):
         mc = MemoryController(latency=100, occupancy=20)
@@ -28,7 +34,7 @@ class TestController:
         mc = MemoryController(latency=100, occupancy=20)
         mc.service(100_000)
         assert mc.service(0) == mc.MAX_QUEUE_SERVICES * 20 + 100
-        assert mc.total_queueing == mc.MAX_QUEUE_SERVICES * 20
+        assert stat(mc, "queueing") == mc.MAX_QUEUE_SERVICES * 20
         assert mc.service(100_020) == 100_120  # queue frontier intact
 
     def test_writeback_queue_charge_is_capped(self):
@@ -51,14 +57,14 @@ class TestController:
         mc = MemoryController(latency=350, occupancy=20)
         mc.post_writeback(0)
         assert mc.service(0) == 370  # demand waits behind the writeback
-        assert mc.writebacks == 1
+        assert stat(mc, "writebacks") == 1
 
     def test_reset_stats(self):
         mc = MemoryController(latency=10, occupancy=1)
         mc.service(0)
         mc.post_writeback(0)
         mc.reset_stats()
-        assert mc.requests == 0 and mc.writebacks == 0
+        assert stat(mc, "demand") == 0 and stat(mc, "writebacks") == 0
 
 
 class TestMemorySystem:
@@ -71,5 +77,5 @@ class TestMemorySystem:
         system.controller(0).service(0)
         system.controller(1).service(0)
         system.controller(1).post_writeback(0)
-        assert system.demand_requests == 2
-        assert system.writebacks == 1
+        assert stat(system, "mc0.demand") + stat(system, "mc1.demand") == 2
+        assert stat(system, "mc1.writebacks") == 1

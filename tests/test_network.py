@@ -9,6 +9,12 @@ def fresh_network(contention: bool = True) -> Network:
     return Network(SystemConfig(), model_contention=contention)
 
 
+def stat(net: Network, path: str) -> int:
+    """A NoC statistic as the registry holds it after a flush."""
+    net.flush()
+    return net.stats.get(path).value
+
+
 class TestUncontendedLatency:
     def test_latency_is_hops_times_hop_latency(self):
         net = fresh_network(contention=False)
@@ -51,7 +57,7 @@ class TestContention:
         net = fresh_network()
         net.arrival(MessageKind.RESPONSE_DATA, 0, 1, 0)
         net.arrival(MessageKind.RESPONSE_DATA, 0, 1, 0)
-        assert net.total_queueing > 0
+        assert stat(net, "queueing") > 0
 
     def test_out_of_order_wait_charged_exactly_at_cap(self):
         # Reservations are stamped in reference order, not time order: a
@@ -61,7 +67,7 @@ class TestContention:
         net.arrival(MessageKind.RESPONSE_DATA, 0, 1, 100_000)
         cap = 4 * FLITS[MessageKind.REQUEST]
         assert net.arrival(MessageKind.REQUEST, 0, 1, 0) == cap + 5
-        assert net.total_queueing == cap
+        assert stat(net, "queueing") == cap
         # The 100_005 reservation was kept, not overwritten by the
         # early message: traffic near it still queues behind it.
         assert net.arrival(MessageKind.REQUEST, 0, 1, 100_004) == 100_010
@@ -71,34 +77,34 @@ class TestStatistics:
     def test_message_and_flit_counters(self):
         net = fresh_network()
         net.arrival(MessageKind.REQUEST, 0, 2, 0)
-        assert net.messages_sent == 1
-        assert net.total_hops == 2
-        assert net.flits_sent == 2  # 1 flit x 2 hops
+        assert stat(net, "messages") == 1
+        assert stat(net, "hops") == 2
+        assert stat(net, "flits") == 2  # 1 flit x 2 hops
 
     def test_zero_hop_message_costs_no_flits(self):
         # src == dst traverses no links: the message is counted but no
         # link flits are charged (regression: flits * max(hops, 1)).
         net = fresh_network()
         net.arrival(MessageKind.RESPONSE_DATA, 2, 2, 50)
-        assert net.messages_sent == 1
-        assert net.total_hops == 0
-        assert net.flits_sent == 0
+        assert stat(net, "messages") == 1
+        assert stat(net, "hops") == 0
+        assert stat(net, "flits") == 0
 
     def test_reset(self):
         net = fresh_network()
         net.arrival(MessageKind.REQUEST, 0, 2, 0)
         net.reset_stats()
-        assert net.messages_sent == 0
-        assert net.total_queueing == 0
-        assert net.kind_counts[MessageKind.REQUEST] == 0
+        assert stat(net, "messages") == 0
+        assert stat(net, "queueing") == 0
+        assert stat(net, "kinds.request") == 0
 
     def test_per_kind_counters(self):
         net = fresh_network()
         net.arrival(MessageKind.REQUEST, 0, 2, 0)
         net.arrival(MessageKind.REQUEST, 0, 2, 0)
         net.arrival(MessageKind.RESPONSE_DATA, 2, 0, 0)
-        assert net.kind_counts[MessageKind.REQUEST] == 2
-        assert net.kind_counts[MessageKind.RESPONSE_DATA] == 1
+        assert stat(net, "kinds.request") == 2
+        assert stat(net, "kinds.response_data") == 1
 
     def test_sp_indirection_costs_traffic(self):
         """Section 2.3: SP-NUCA's private-bank indirection 'will
@@ -116,14 +122,8 @@ class TestStatistics:
             access(system, 0, block)
             evict_from_l1(system, 0, block)
             evict_from_l1(system, 3, block)
-            before = system.network.messages_sent
+            before = system.result.noc_messages
             access(system, 0, block)  # shared-bank L2 hit
-            return system.network.messages_sent - before
+            return system.result.noc_messages - before
 
         assert shared_traffic("sp-nuca") >= shared_traffic("shared")
-
-    def test_deliver_fills_message(self):
-        net = fresh_network()
-        msg = net.deliver(MessageKind.REQUEST, 0, 3, 7)
-        assert msg.hops == 3
-        assert msg.arrive >= 7 + 15

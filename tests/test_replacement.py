@@ -137,6 +137,12 @@ class TestProtectedLru:
         assert admitted and evicted is helpers[0]
         assert bank.helping[0] == 2
         assert bank.free_way(0) is not None  # way not burned
+        # At the budget (n == nmax) the shed rule no longer applies
+        # below capacity: a first-class install takes the free way.
+        bank.nmax = 2
+        admitted, evicted = bank.allocate(0, entry(10, BlockClass.PRIVATE))
+        assert admitted and evicted is None
+        assert bank.helping[0] == 2
 
     def test_over_budget_helping_never_raises_count(self):
         bank = filled_bank(ProtectedLru(), nmax=3)

@@ -50,7 +50,7 @@ class TestWritebackAccounting:
         for b in blocks:
             access(system, 0, b, write=True)
             evict_from_l1(system, 0, b)
-        assert system.memory.writebacks >= 2  # overflow was dirty
+        assert system.result.offchip_writebacks >= 2  # overflow was dirty
         system.check_invariants()
 
     def test_offchip_writeback_reserved_at_eviction_time(self):
@@ -62,7 +62,7 @@ class TestWritebackAccounting:
         system.l1s[0].invalidate(0x999)
         tokens = system.ledger.take_from_l1(0x999, 0)
         system.send_to_memory(0x999, tokens, dirty=True, router=0, t=50_000)
-        assert system.memory.writebacks == 1
+        assert system.result.offchip_writebacks == 1
         mc, _ = system.topology.controller_hops(0)
         controller = system.memory.controller(mc)
         assert controller._busy_until >= 50_000
@@ -72,9 +72,9 @@ class TestWritebackAccounting:
         access(system, 0, 0x999)
         line = system.l1s[0].invalidate(0x999)
         tokens = system.ledger.take_from_l1(0x999, 0)
-        before = system.memory.writebacks
+        before = system.result.offchip_writebacks
         system.send_to_memory(0x999, tokens, dirty=False, router=0)
-        assert system.memory.writebacks == before
+        assert system.result.offchip_writebacks == before
 
 
 class TestSendToMemoryRouting:
@@ -106,9 +106,10 @@ class TestStatsReset:
         access(system, 0, 0x600)
         occupancy = system.l1s[0].occupancy()
         system.reset_stats()
-        assert system.result.memory_accesses == 0
-        assert system.network.messages_sent == 0
-        assert system.memory.demand_requests == 0
+        result = system.result
+        assert result.memory_accesses == 0
+        assert result.noc_messages == 0
+        assert result.offchip_demand == 0
         assert system.l1s[0].occupancy() == occupancy  # state survives
         out = access(system, 0, 0x600)
         assert out.supplier is Supplier.L1_LOCAL
