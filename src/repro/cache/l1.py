@@ -76,9 +76,8 @@ class L1Cache:
             self._stamp += 1
             existing.lru = self._stamp
             if self.journal is not None:
-                # Inlined MirrorJournal.on_merge (keep in sync): a token
-                # increase only turns contention into locality — stale,
-                # never dirty.
+                # Journal rule for a token increase: it only turns
+                # contention into locality — stale, never dirty.
                 self.journal._stale[self.core_id] = True
             return existing, None, True
         evicted: Optional[L1Line] = None
@@ -91,7 +90,8 @@ class L1Cache:
         cache_set[block] = line
         j = self.journal
         if j is not None:
-            # Inlined MirrorJournal.on_install (keep in sync).
+            # Journal rule for an install: an eviction of a block in
+            # this core's classified run dirties the core; always stale.
             if evicted is not None:
                 run = j.runs[self.core_id]
                 if run is not None and evicted.block in run:
@@ -103,7 +103,8 @@ class L1Cache:
         line = self._sets[block % self.num_sets].pop(block, None)
         j = self.journal
         if line is not None and j is not None:
-            # Inlined MirrorJournal.on_invalidate (keep in sync).
+            # Journal rule for an invalidation: a block in this core's
+            # classified run dirties the core; always stale.
             run = j.runs[self.core_id]
             if run is not None and block in run:
                 j.dirty.add(self.core_id)

@@ -163,7 +163,8 @@ class TokenLedger:
             del state.l1[core]
         j = self.l1_journal
         if taken and j is not None:
-            # Inlined MirrorJournal._on_tokens_taken (keep in sync).
+            # Journal rule for a token decrease: a block in the core's
+            # classified run dirties the core; always stale.
             run = j.runs[core]
             if run is not None and block in run:
                 j.dirty.add(core)

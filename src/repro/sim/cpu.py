@@ -160,8 +160,6 @@ class CoreModel:
         out = self._outstanding
         while out and self.instructions - out[0][1] >= self.config.window_size:
             self._wait_until(out[0][0])
-            if out and out[0][0] <= self.clock:
-                out.popleft()
 
     # -- the trace-driven step --------------------------------------------------
 

@@ -41,20 +41,16 @@ class SimulationEngine:
         self.cores = [CoreModel(i, system.config.core)
                       for i in range(system.config.num_cores)]
         self._refs = [0] * len(self.cores)
-        self._check_every = 0
         self._processed = 0
 
     def run(self, max_refs_per_core: Optional[int] = None,
-            warmup_refs_per_core: int = 0,
-            invariant_check_every: int = 0) -> SimResult:
+            warmup_refs_per_core: int = 0) -> SimResult:
         """Run until every trace is exhausted or capped.
 
         ``warmup_refs_per_core`` references per core are simulated first
-        with statistics discarded. ``invariant_check_every``: if > 0,
-        run the full token/directory cross-check every that-many
-        processed references (tests only — it is O(resident blocks)).
+        with statistics discarded. Invariant sweeps between references
+        come from the system's checker (``SystemConfig.checks``).
         """
-        self._check_every = invariant_check_every
         base_cycles = [0] * len(self.cores)
         base_instr = [0] * len(self.cores)
         tracer = self.system.tracer
@@ -103,8 +99,6 @@ class SimulationEngine:
             core.complete_memory(item.kind, outcome.complete)
             self._refs[core_id] += 1
             self._processed += 1
-            if self._check_every and self._processed % self._check_every == 0:
-                self.system.check_invariants()
             if cap is None or self._refs[core_id] < cap:
                 heapq.heappush(heap, (core.clock, core_id))
 

@@ -34,8 +34,8 @@ The schedule per epoch:
    taken L1 tokens; the :class:`~repro.sim.vector.mirror.MirrorJournal`
    names the affected cores, whose classifications are invalidated.
 
-Runs with live tracing, an invariant checker, or a check period fall
-back to the reference schedule (``super()._run_phase``): those
+Runs with live tracing or an invariant checker fall back to the
+reference schedule (``super()._run_phase``): those
 observers sample machine state *between individual references*, which
 batching would skip past. Statistics for batched hits are applied in
 bulk to the same flat counts the reference path writes, which the
@@ -141,8 +141,7 @@ class VectorizedEngine(SimulationEngine):
         return trace.item(pos)
 
     def _run_phase(self, cap: Optional[int]) -> None:
-        if (self.system.tracer.enabled or self.system.checker is not None
-                or self._check_every > 0):
+        if self.system.tracer.enabled or self.system.checker is not None:
             # Observers need reference granularity (docs/engine.md,
             # "Fallback"); results are identical either way.
             super()._run_phase(cap)
@@ -348,8 +347,6 @@ class VectorizedEngine(SimulationEngine):
                                 clock = when
                             while out and out[0][0] <= clock:
                                 out.popleft()
-                            if out and out[0][0] <= clock:  # pragma: no cover - guard
-                                out.popleft()
                     # --- serve: exact port of the reference access
                     # path — L1 hit effects from L1Cache.lookup,
                     # miss/upgrade policy through the live architecture
@@ -414,8 +411,6 @@ class VectorizedEngine(SimulationEngine):
                                 stalls += when - clock
                                 clock = when
                             while out and out[0][0] <= clock:
-                                out.popleft()
-                            if out and out[0][0] <= clock:  # pragma: no cover - guard
                                 out.popleft()
                     # --- end timing step ---
                     p += 1
@@ -563,8 +558,6 @@ class VectorizedEngine(SimulationEngine):
                         clock = when
                     while out and out[0][0] <= clock:
                         out.popleft()
-                    if out and out[0][0] <= clock:  # pragma: no cover - guard
-                        out.popleft()
             complete = clock + l1_lat
             instr += 1
             mem += 1
@@ -595,8 +588,6 @@ class VectorizedEngine(SimulationEngine):
                         stalls += when - clock
                         clock = when
                     while out and out[0][0] <= clock:
-                        out.popleft()
-                    if out and out[0][0] <= clock:  # pragma: no cover - guard
                         out.popleft()
             # --- end timing step ---
             i += 1
@@ -684,8 +675,6 @@ class VectorizedEngine(SimulationEngine):
                         clock = when
                     while out and out[0][0] <= clock:
                         out.popleft()
-                    if out and out[0][0] <= clock:  # pragma: no cover - guard
-                        out.popleft()
             complete = clock + l1_lat
             instr += 1
             mem += 1
@@ -716,8 +705,6 @@ class VectorizedEngine(SimulationEngine):
                         stalls += when - clock
                         clock = when
                     while out and out[0][0] <= clock:
-                        out.popleft()
-                    if out and out[0][0] <= clock:  # pragma: no cover - guard
                         out.popleft()
             # --- end timing step ---
             line = run_lines[i - pos]

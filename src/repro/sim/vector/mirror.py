@@ -7,13 +7,22 @@ contention event changes L1 membership or removes tokens from an L1
 line; the journal records exactly those transitions so the engine can
 re-classify the affected cores and nobody else.
 
-Hook points (the complete set — verified against every architecture):
+Hook points (the complete set — verified against every architecture).
+Each site writes the installed journal directly (``L1Cache.journal``,
+``TokenLedger.l1_journal``) — they fire once per miss on the cold
+grid, too often for a method call:
 
 * :meth:`repro.cache.l1.L1Cache.fill` — fresh install (+ optional
   eviction) and token-merge into an existing line;
 * :meth:`repro.cache.l1.L1Cache.invalidate`;
 * :meth:`repro.coherence.tokens.TokenLedger.take_from_l1` — the single
   chokepoint through which L1 token counts ever *decrease*.
+
+The rule all three apply: every transition marks the core's sets
+stale; a transition that removes a block from a core's L1 (eviction,
+invalidation) or takes tokens from it also adds the core to ``dirty``
+when that block lies in the core's classified run. A token increase
+(merge) only marks stale.
 
 Token *increases* outside these hooks (``send_to_memory`` merges,
 ``handle_upgrade`` collection) leave the mirror's ``full`` set stale
@@ -102,40 +111,6 @@ class MirrorJournal:
         for l1 in l1s:
             l1.journal = None
         ledger.l1_journal = None
-
-    # -- L1Cache hooks -------------------------------------------------------
-    # NOTE: L1Cache.fill/invalidate inline these hook bodies (they fire
-    # once per miss on the cold grid); the methods remain the canonical
-    # definition — keep both in sync.
-
-    def on_install(self, core: int, block: int, tokens: int,
-                   evicted: Optional[int]) -> None:
-        if evicted is not None:
-            run = self.runs[core]
-            if run is not None and evicted in run:
-                self.dirty.add(core)
-        self._stale[core] = True
-
-    def on_merge(self, core: int, block: int, tokens: int) -> None:
-        # Token increase: can only turn contention into locality, which
-        # is re-discovered at the next classification — never dirty.
-        self._stale[core] = True
-
-    def on_invalidate(self, core: int, block: int) -> None:
-        run = self.runs[core]
-        if run is not None and block in run:
-            self.dirty.add(core)
-        self._stale[core] = True
-
-    # -- TokenLedger hook ----------------------------------------------------
-    # Canonical definition; TokenLedger.take_from_l1 inlines this body
-    # against the installed ``ledger.l1_journal`` — keep both in sync.
-
-    def _on_tokens_taken(self, block: int, core: int, remaining: int) -> None:
-        run = self.runs[core]
-        if run is not None and block in run:
-            self.dirty.add(core)
-        self._stale[core] = True
 
     # -- numpy views (bulk classification) -----------------------------------
 

@@ -8,6 +8,12 @@ sequences on an all-resident, all-token L1 — every reference is local,
 so its completion is ``clock + L1 latency`` — and compare them with a
 ``CoreModel`` stepped the same way. A small window and MLP budget make
 both the window stall and the outstanding-slot stall fire.
+
+The serve burst in ``VectorizedEngine._run_phase_fast`` carries a third
+copy of the step plus an inline port of ``CmpSystem._serve_access``.
+The last test runs one core over a block pool three times the L1's
+capacity — misses, upgrades and hit stretches shorter than the burst's
+16-hit hand-off — and compares the reference engine at every phase cap.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import pytest
 
 from repro.common.config import CoreConfig
 from repro.sim.cpu import CoreModel, TraceColumns, TraceKind
+from repro.sim.engine import SimulationEngine
 from repro.sim.vector.engine import VectorizedEngine
 from repro.sim.vector.mirror import MirrorJournal
 
@@ -73,9 +80,13 @@ def reference_states(config, refs):
     return states, core
 
 
-def make_engine(refs):
-    config = replace(tiny_config(), core=CoreConfig(
+def small_core_config():
+    return replace(tiny_config(), core=CoreConfig(
         window_size=8, max_outstanding=3, issue_width=8))
+
+
+def make_engine(refs):
+    config = small_core_config()
     system = build("shared", config=config, check_tokens=False)
     total = system.ledger.total_tokens
     for block in BLOCKS:
@@ -132,3 +143,61 @@ def test_bounded_commit_lands_on_core_model_at_every_cut(seed):
             # The remainder's full commit still lands on the scout state.
             engine._commit_full(0)
             assert engine_state(engine) == states[-1], (kc, kcid)
+
+
+#: Three times the tiny L1's 16 lines; half the references go to a hot
+#: quarter of it, so hit stretches form but stay short.
+BURST_POOL = [0x200 + i for i in range(48)]
+BURST_REFS = 96
+
+
+def burst_refs(seed):
+    rng = random.Random(seed)
+    kinds = [TraceKind.LOAD] * 4 + [TraceKind.STORE] * 3 + [TraceKind.DEP_LOAD]
+    return [(rng.choice((0, 0, 1, 2, 5, 13)),
+             rng.choice(BURST_POOL[:12] if rng.random() < 0.5
+                        else BURST_POOL),
+             rng.choice(kinds)) for _ in range(BURST_REFS)]
+
+
+def run_capped(engine_cls, refs, cap):
+    """One ``_run_phase(cap)`` on a fresh system: the core-0 state and
+    the flat access counts, plus the core and the upgrades served (to
+    show which rules fired)."""
+    config = small_core_config()
+    system = build("esp-nuca", config=config, check_tokens=False)
+    # Core 1 reads the pool first, so core 0's read misses can come
+    # back with fewer than all tokens and its store hits then upgrade.
+    for block in BURST_POOL:
+        system.access(1, block, False, 0)
+    arch = system.architecture
+    upgrades = []
+    handle_upgrade = arch.handle_upgrade
+
+    def counting_upgrade(*args):
+        upgrades.append(args[0])
+        return handle_upgrade(*args)
+
+    arch.handle_upgrade = counting_upgrade
+    trace = TraceColumns.from_refs(refs)
+    traces = [trace if engine_cls is VectorizedEngine else iter(trace)]
+    engine = engine_cls(system, traces + [None] * (config.num_cores - 1))
+    engine.cores[0] = core = CountingCore(0, config.core)
+    engine._run_phase(cap)
+    return ((state_of(core), [list(rec) for rec in system._access_rec],
+             system._l1_hits[0], system._l1_misses[0]),
+            core, len(upgrades))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_serve_burst_matches_reference_at_every_cap(seed):
+    refs = burst_refs(seed)
+    for cap in range(1, BURST_REFS + 1):
+        expect, core, upgrades = run_capped(SimulationEngine, refs, cap)
+        got, _, _ = run_capped(VectorizedEngine, refs, cap)
+        assert got == expect, cap
+    # The full trace exercises every branch of the serve and both
+    # stall rules.
+    _, _, hits, misses = expect
+    assert hits and misses and upgrades
+    assert core.window_stalls and core.slot_stalls

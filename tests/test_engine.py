@@ -1,11 +1,14 @@
 """Simulation kernel semantics: caps, exhaustion, ordering, warmup."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.config import CheckConfig
 from repro.sim.cpu import TraceItem, TraceKind
 from repro.sim.engine import SimulationEngine
 
-from tests.util import build, loads
+from tests.util import build, loads, tiny_config
 
 
 def items(n, base=0x1000, gap=2):
@@ -75,6 +78,11 @@ class TestWarmup:
         assert 0 < result.cycles < total.cycles
 
     def test_invariant_hook_runs(self):
-        system = build("shared")
+        config = replace(tiny_config(),
+                         checks=CheckConfig(enabled=True, sample=1))
+        system = build("shared", config=config)
         traces = [iter(items(20))] + [None] * 7
-        SimulationEngine(system, traces).run(invariant_check_every=1)
+        SimulationEngine(system, traces).run()
+        checker = system.checker
+        assert checker.sweeps == 20 // checker.sample
+        assert checker.violations == 0

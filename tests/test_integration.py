@@ -2,10 +2,12 @@
 workload traces with invariant checking, determinism, and the directed
 capacity scenarios behind the paper's headline shapes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.architectures.registry import architecture_names, make_architecture
-from repro.common.config import scaled_config
+from repro.common.config import CheckConfig, scaled_config
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Supplier
 from repro.sim.system import CmpSystem
@@ -22,12 +24,16 @@ SMALL_REFS = 1200
 def run_workload(arch_name, workload="apache", seed=1, check=True,
                  config=None):
     config = config or scaled_config(8)
+    if check:
+        # A full invariant sweep every 2000 demand accesses.
+        config = replace(config, checks=CheckConfig(enabled=True,
+                                                    sample=2000))
     system = CmpSystem(config, make_architecture(arch_name, config),
                        check_tokens=check)
     spec = get_workload(workload).capacity_scaled(8).scaled(SMALL_REFS)
     engine = SimulationEngine(system, TraceGenerator(spec, seed).traces(
         config.num_cores))
-    result = engine.run(invariant_check_every=2000 if check else 0)
+    result = engine.run()
     if check:
         system.check_invariants()
     return system, result
