@@ -84,7 +84,8 @@ class GatewayConfig:
     anon_rate_refill: float = 50.0
     #: Telemetry master switch: per-route latency histograms, per-tenant
     #: request counters, and the ``/metrics`` exporter. On by default;
-    #: ``False`` is the A/B baseline arm of bench_telemetry.py.
+    #: ``False`` is the A/B baseline arm of the ``telemetry`` scenario
+    #: of benchmarks/bench.py.
     telemetry: bool = True
 
 

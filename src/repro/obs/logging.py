@@ -26,7 +26,7 @@ workers inherit the configuration.
 
 Every ``debug``/``info`` helper gates on ``isEnabledFor`` before
 building the record, keeping the disabled path within the project's
-≤2% overhead budget (BENCH_telemetry.json).
+≤2% overhead budget (the ``telemetry`` scenario of BENCH.json).
 """
 
 from __future__ import annotations
